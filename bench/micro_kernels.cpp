@@ -120,7 +120,7 @@ BM_FusedLayerInference(benchmark::State &state)
     const UpdateOp update{&weights, bias, true};
     DenseMatrix out(fx.graph.numVertices(), 256);
     for (auto _ : state) {
-        fusedLayerInference(fx.graph, fx.features, fx.spec, update, out);
+        fusedLayer(fx.graph, fx.features, fx.spec, update, out);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -410,7 +410,7 @@ BM_AggregateBf16(benchmark::State &state)
     Bf16Matrix packed(fx.graph.numVertices(), 256);
     packed.fromDense(fx.features);
     for (auto _ : state) {
-        aggregateBf16(fx.graph, packed, fx.output, fx.spec);
+        aggregate(fx.graph, packed, fx.output, fx.spec);
         benchmark::DoNotOptimize(fx.output.data());
     }
     // Half the gathered bytes of the fp32 kernel.
@@ -463,8 +463,7 @@ BM_FusedLayerCompressed(benchmark::State &state)
     const UpdateOp update{&weights, bias, true};
     DenseMatrix out(fx.graph.numVertices(), 256);
     for (auto _ : state) {
-        fusedLayerInferenceCompressed(fx.graph, packed, fx.spec, update,
-                                      out);
+        fusedLayer(fx.graph, packed, fx.spec, update, out);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -492,7 +491,7 @@ BM_FusedLayerInferenceBf16(benchmark::State &state)
     const UpdateOp update{&weights, bias, true, &plan, Precision::Bf16};
     DenseMatrix out(fx.graph.numVertices(), 256);
     for (auto _ : state) {
-        fusedLayerInferenceBf16(fx.graph, packed, fx.spec, update, out);
+        fusedLayer(fx.graph, packed, fx.spec, update, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetBytesProcessed(

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "obs/trace.h"
 #include "kernels/fused_layer.h"
-#include "kernels/shard_exec.h"
 #include "parallel/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
@@ -62,7 +61,7 @@ GnnLayer::packedWeights(Precision precision) const
     const auto slot = static_cast<std::size_t>(precision);
     GRAPHITE_ASSERT(slot < kNumPrecisions, "unknown precision");
     MutexLock lock(planMutex_);
-    if (weightsAliased_ || packedNNVersion_[slot] != weightsVersion_) {
+    if (packedNNVersion_[slot] != weightsVersion_) {
         packedNN_[slot].pack(GemmMode::NN, weights_, precision);
         packedNNVersion_[slot] = weightsVersion_;
     }
@@ -75,11 +74,80 @@ GnnLayer::packedWeightsTransposed(Precision precision) const
     const auto slot = static_cast<std::size_t>(precision);
     GRAPHITE_ASSERT(slot < kNumPrecisions, "unknown precision");
     MutexLock lock(planMutex_);
-    if (weightsAliased_ || packedNTVersion_[slot] != weightsVersion_) {
+    if (packedNTVersion_[slot] != weightsVersion_) {
         packedNT_[slot].pack(GemmMode::NT, weights_, precision);
         packedNTVersion_[slot] = weightsVersion_;
     }
     return packedNT_[slot];
+}
+
+namespace {
+
+/**
+ * The rows a layer gathers: packed rows win when compression is on,
+ * then bf16 rows under the Bf16 precision technique, else fp32.
+ */
+FeatureRows
+gatherRows(const DenseMatrix &in, const CompressedMatrix *inCompressed,
+           const Bf16Matrix *inBf16, const TechniqueConfig &tech)
+{
+    if (tech.compression && inCompressed != nullptr)
+        return *inCompressed;
+    if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
+        return *inBf16;
+    return in;
+}
+
+/** Flat over @p order, or shard-major over a plan of >= 2 shards. */
+Schedule
+layerSchedule(const CsrGraph &graph, const FeatureRows &in,
+              std::span<const VertexId> order, const PartitionPlan *plan,
+              const TechniqueConfig &tech)
+{
+    if (plan == nullptr || plan->numShards() < 2)
+        return order;
+    GRAPHITE_ASSERT(plan->graph == &graph,
+                    "partition plan built for another graph");
+    // Packed rows have no halo replica, so they always gather exactly.
+    return Schedule(*plan, tech.delayedHalo && in.packed == nullptr);
+}
+
+} // namespace
+
+void
+GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
+                  FeatureRows in, DenseMatrix *agg, DenseMatrix &out,
+                  CompressedMatrix *outCompressed, Bf16Matrix *outBf16,
+                  const Schedule &schedule,
+                  const TechniqueConfig &tech) const
+{
+    const GemmPlan &plan = packedWeights(tech.precision);
+    // Fusion has no delayed-halo variant (the replica phase breaks the
+    // per-block pipeline); delayed runs take the unfused path below.
+    if (tech.fusion && schedule.delayedHalo == nullptr) {
+        const UpdateOp update{&weights_, bias_, relu_, &plan,
+                              tech.precision};
+        fusedLayer(graph, in, spec, update, out,
+                   {agg, outCompressed, outBf16}, schedule, tech.fused,
+                   tech.agg);
+        return;
+    }
+    // Unfused path: aggregation materialises a^k, then one big GEMM.
+    DenseMatrix scratch;
+    if (agg == nullptr) {
+        scratch.resize(graph.numVertices(), inFeatures_);
+        agg = &scratch;
+    }
+    aggregate(graph, in, *agg, spec, schedule, tech.agg);
+    gemm(GemmMode::NN, *agg, plan, out);
+    if (!bias_.empty())
+        addBias(out, bias_);
+    if (relu_)
+        reluForward(out);
+    if (outCompressed)
+        outCompressed->compressFrom(out);
+    if (outBf16)
+        outBf16->fromDense(out);
 }
 
 void
@@ -95,79 +163,9 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            const TechniqueConfig &tech) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    const bool packedIn = tech.compression && inCompressed != nullptr;
-    const bool bf16In = !packedIn &&
-                        tech.precision == Precision::Bf16 &&
-                        inBf16 != nullptr;
-    const bool sharded = plan != nullptr && plan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(plan->graph == &graph,
-                        "partition plan built for another graph");
-        // Compressed gathers have no sharded kernel: run the global
-        // kernels over the shard-major order (locality still applies).
-        if (packedIn)
-            order = plan->shardMajorOrder;
-    }
-    const bool shardedKernels = sharded && !packedIn;
-    const bool delayed = shardedKernels && tech.delayedHalo;
-    // Fusion has no delayed-halo variant (the replica phase breaks the
-    // per-block pipeline); delayed runs take the unfused path below.
-    if (tech.fusion && !delayed) {
-        if (packedIn) {
-            fusedLayerInferenceCompressed(graph, *inCompressed, spec,
-                                          update, out, outCompressed,
-                                          order, tech.fused);
-        } else if (shardedKernels) {
-            if (bf16In)
-                fusedLayerInferenceShardedBf16(*plan, *inBf16, spec,
-                                               update, out, tech.fused,
-                                               outBf16);
-            else
-                fusedLayerInferenceSharded(*plan, in, spec, update, out,
-                                           tech.fused, outBf16);
-            outBf16 = nullptr; // converted write-side by the kernel
-            if (outCompressed)
-                outCompressed->compressFrom(out);
-            return;
-        } else if (bf16In) {
-            fusedLayerInferenceBf16(graph, *inBf16, spec, update, out,
-                                    order, tech.fused, outBf16);
-            outBf16 = nullptr; // converted write-side by the kernel
-        } else {
-            fusedLayerInference(graph, in, spec, update, out, order,
-                                tech.fused, outBf16);
-            outBf16 = nullptr;
-        }
-        if (outCompressed)
-            outCompressed->compressFrom(out);
-        if (outBf16)
-            outBf16->fromDense(out);
-        return;
-    }
-    // Unfused path: aggregation materialises a^k, then one big GEMM.
-    DenseMatrix agg(graph.numVertices(), inFeatures_);
-    if (packedIn)
-        aggregateCompressed(graph, *inCompressed, agg, spec, order,
-                            tech.agg);
-    else if (shardedKernels && bf16In)
-        aggregateShardedBf16(*plan, *inBf16, agg, spec, delayed, tech.agg);
-    else if (shardedKernels)
-        aggregateSharded(*plan, in, agg, spec, delayed, tech.agg);
-    else if (bf16In)
-        aggregateBf16(graph, *inBf16, agg, spec, order, tech.agg);
-    else
-        aggregateBasic(graph, in, agg, spec, order, tech.agg);
-    gemm(GemmMode::NN, agg, packedWeights(tech.precision), out);
-    if (!bias_.empty())
-        addBias(out, bias_);
-    if (relu_)
-        reluForward(out);
-    if (outCompressed)
-        outCompressed->compressFrom(out);
-    if (outBf16)
-        outBf16->fromDense(out);
+    const FeatureRows rows = gatherRows(in, inCompressed, inBf16, tech);
+    forward(graph, spec, rows, nullptr, out, outCompressed, outBf16,
+            layerSchedule(graph, rows, order, plan, tech), tech);
 }
 
 void
@@ -194,70 +192,9 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
         }
         outCompressed = &ctx.outputCompressed;
     }
-
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    const bool packedIn = tech.compression && inCompressed != nullptr;
-    const bool bf16In = !packedIn &&
-                        tech.precision == Precision::Bf16 &&
-                        inBf16 != nullptr;
-    const bool sharded = plan != nullptr && plan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(plan->graph == &graph,
-                        "partition plan built for another graph");
-        if (packedIn)
-            order = plan->shardMajorOrder;
-    }
-    const bool shardedKernels = sharded && !packedIn;
-    const bool delayed = shardedKernels && tech.delayedHalo;
-    if (tech.fusion && !delayed) {
-        if (packedIn) {
-            fusedLayerTrainingCompressed(graph, *inCompressed, spec,
-                                         update, ctx.agg, ctx.output,
-                                         outCompressed, order, tech.fused);
-        } else if (shardedKernels) {
-            if (bf16In)
-                fusedLayerTrainingShardedBf16(*plan, *inBf16, spec,
-                                              update, ctx.agg, ctx.output,
-                                              tech.fused);
-            else
-                fusedLayerTrainingSharded(*plan, in, spec, update,
-                                          ctx.agg, ctx.output,
-                                          tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        } else if (bf16In) {
-            fusedLayerTrainingBf16(graph, *inBf16, spec, update, ctx.agg,
-                                   ctx.output, order, tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        } else {
-            fusedLayerTraining(graph, in, spec, update, ctx.agg,
-                               ctx.output, order, tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        }
-        return;
-    }
-    if (packedIn)
-        aggregateCompressed(graph, *inCompressed, ctx.agg, spec, order,
-                            tech.agg);
-    else if (shardedKernels && bf16In)
-        aggregateShardedBf16(*plan, *inBf16, ctx.agg, spec, delayed,
-                             tech.agg);
-    else if (shardedKernels)
-        aggregateSharded(*plan, in, ctx.agg, spec, delayed, tech.agg);
-    else if (bf16In)
-        aggregateBf16(graph, *inBf16, ctx.agg, spec, order, tech.agg);
-    else
-        aggregateBasic(graph, in, ctx.agg, spec, order, tech.agg);
-    gemm(GemmMode::NN, ctx.agg, packedWeights(tech.precision), ctx.output);
-    if (!bias_.empty())
-        addBias(ctx.output, bias_);
-    if (relu_)
-        reluForward(ctx.output);
-    if (outCompressed)
-        outCompressed->compressFrom(ctx.output);
+    const FeatureRows rows = gatherRows(in, inCompressed, inBf16, tech);
+    forward(graph, spec, rows, &ctx.agg, ctx.output, outCompressed, nullptr,
+            layerSchedule(graph, rows, order, plan, tech), tech);
 }
 
 void
@@ -286,57 +223,32 @@ GnnLayer::backward(const CsrGraph &transposed,
 
     if (!gradIn)
         return;
-    const bool sharded = transposedPlan != nullptr &&
-                         transposedPlan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(transposedPlan->graph == &transposed,
-                        "partition plan built for another graph");
-    }
-    const bool delayed = sharded && tech.delayedHalo;
     // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
     gradIn->reshape(gradOut.rows(), inFeatures_);
-    if (tech.fusion && !delayed) {
+    const GemmPlan &planNT = packedWeightsTransposed(tech.precision);
+    const Schedule schedule =
+        layerSchedule(transposed, gradOut, order, transposedPlan, tech);
+    if (tech.fusion && schedule.delayedHalo == nullptr) {
         // Fused: per-block (Aggᵀ dz)·Wᵀ, dAgg never materialised (see
-        // kernels/fused_layer.h on the commuted fusion direction).
+        // kernels/fused_layer.h on the commuted fusion direction). At
+        // bf16, dz is rounded once and gathered at half width;
+        // gradients themselves keep accumulating in fp32.
+        FeatureRows dz = gradOut;
         if (tech.precision == Precision::Bf16) {
-            // Round dz once; the fused kernel then gathers it at half
-            // width over the transposed graph — gradients themselves
-            // keep accumulating in fp32.
             dzBf16Scratch_.reshape(gradOut.rows(), outFeatures_);
             dzBf16Scratch_.fromDense(gradOut);
-            if (sharded)
-                fusedLayerBackwardShardedBf16(
-                    *transposedPlan, dzBf16Scratch_, transposedSpec,
-                    packedWeightsTransposed(tech.precision), *gradIn,
-                    tech.fused);
-            else
-                fusedLayerBackwardBf16(
-                    transposed, dzBf16Scratch_, transposedSpec,
-                    packedWeightsTransposed(tech.precision), *gradIn,
-                    order, tech.fused);
-        } else if (sharded) {
-            fusedLayerBackwardSharded(*transposedPlan, gradOut,
-                                      transposedSpec,
-                                      packedWeightsTransposed(), *gradIn,
-                                      tech.fused);
-        } else {
-            fusedLayerBackward(transposed, gradOut, transposedSpec,
-                               packedWeightsTransposed(), *gradIn, order,
-                               tech.fused);
+            dz = dzBf16Scratch_;
         }
+        fusedLayerBackward(transposed, dz, transposedSpec, planNT, *gradIn,
+                           schedule, tech.fused, tech.agg);
         return;
     }
     dAggScratch_.reshape(gradOut.rows(), inFeatures_);
-    gemm(GemmMode::NT, gradOut, packedWeightsTransposed(tech.precision),
-         dAggScratch_);
+    gemm(GemmMode::NT, gradOut, planNT, dAggScratch_);
     // dAgg rows stay fp32 here: converting a transient scratch to bf16
     // would add a full extra pass for no stored-traffic win.
-    if (sharded)
-        aggregateSharded(*transposedPlan, dAggScratch_, *gradIn,
-                         transposedSpec, delayed, tech.agg);
-    else
-        aggregateBasic(transposed, dAggScratch_, *gradIn, transposedSpec,
-                       order, tech.agg);
+    aggregate(transposed, dAggScratch_, *gradIn, transposedSpec, schedule,
+              tech.agg);
 }
 
 void

@@ -75,23 +75,24 @@ class GnnLayer
     /** Glorot-uniform weight init, zero bias. */
     void initWeights(std::uint64_t seed);
 
-    /**
-     * Mutable weight access permanently downgrades the packed-plan
-     * cache to repack-per-use: the returned reference can be retained
-     * and written through at any later point (the optimizer and
-     * checkpoint loader do exactly that), so no version counter can
-     * see those writes. Internal mutators (initWeights, sgdStep) keep
-     * precise invalidation instead.
-     */
-    DenseMatrix &
-    weights()
-    {
-        weightsAliased_ = true;
-        return weights_;
-    }
     const DenseMatrix &weights() const { return weights_; }
-    std::vector<Feature> &bias() { return bias_; }
     const std::vector<Feature> &bias() const { return bias_; }
+
+    /**
+     * The one way to write W and b from outside the layer (optimizers,
+     * checkpoint loading, tests): @p edit receives (DenseMatrix &W,
+     * std::vector<Feature> &b) and the packed-plan caches are
+     * invalidated when it returns, so every write is seen by the next
+     * packedWeights(). Like sgdStep, not safe concurrently with a
+     * forward or a packedWeights() call.
+     */
+    template <typename Edit>
+    void
+    editParameters(Edit &&edit)
+    {
+        edit(weights_, bias_);
+        ++weightsVersion_;
+    }
 
     /**
      * W packed for the forward/update GEMM (NN mode) at @p precision,
@@ -111,20 +112,16 @@ class GnnLayer
     /**
      * Inference forward: writes h^k into @p out; a^k is only
      * materialised when fusion is off (the unfused path needs it as a
-     * GEMM input). When compression is on and @p inCompressed is
-     * non-null, gathers read packed features; when @p outCompressed is
-     * non-null the produced features are also packed for the next layer.
-     * When tech.precision is Bf16 and @p inBf16 is non-null, gathers
-     * read half-width features instead (compression wins when both are
-     * supplied); a non-null @p outBf16 additionally rounds the produced
-     * rows to bf16 for the next layer.
+     * GEMM input). Gathers read the packed rows @p inCompressed when
+     * compression is on and they are supplied, else the bf16 rows
+     * @p inBf16 under the Bf16 precision technique, else @p in. Non-null
+     * @p outCompressed / @p outBf16 receive packed / bf16 copies of h^k
+     * for the next layer.
      *
      * A non-null @p plan with >= 2 shards switches to shard-major
-     * execution: dense/bf16 paths run the sharded kernels (exact mode
-     * bit-identical; tech.delayedHalo selects the replica mode and, with
-     * fusion, falls back to unfused delayed aggregation + one GEMM);
-     * compressed gathers have no sharded kernel and instead run the
-     * global kernels over the plan's shard-major order.
+     * execution (bit-identical to flat execution); tech.delayedHalo
+     * selects delayed-halo aggregation for fp32 and bf16 rows, which
+     * has no fused form, so it runs unfused aggregation + one GEMM.
      */
     void forwardInference(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
@@ -138,10 +135,9 @@ class GnnLayer
 
     /**
      * Training forward: fills @p ctx with a^k and h^k (and the packed
-     * copy when compression is on). @p inBf16, when non-null under the
-     * Bf16 precision technique, supplies the half-width gather source;
-     * ctx.outputBf16 is the *model's* responsibility (conversion must
-     * happen after inter-layer dropout).
+     * copy when compression is on); inputs and @p plan as in
+     * forwardInference. ctx.outputBf16 is the *model's* responsibility
+     * (conversion must happen after inter-layer dropout).
      */
     void forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                          const DenseMatrix &in,
@@ -183,6 +179,17 @@ class GnnLayer
     std::span<const Feature> biasGrad() const { return biasGrad_; }
 
   private:
+    /**
+     * The forward both entries share: fused unless delayed-halo
+     * aggregation is selected, else aggregate into @p agg (a temporary
+     * when null) and run one GEMM.
+     */
+    void forward(const CsrGraph &graph, const AggregationSpec &spec,
+                 FeatureRows in, DenseMatrix *agg, DenseMatrix &out,
+                 CompressedMatrix *outCompressed, Bf16Matrix *outBf16,
+                 const Schedule &schedule,
+                 const TechniqueConfig &tech) const;
+
     std::size_t inFeatures_;
     std::size_t outFeatures_;
     bool relu_;
@@ -191,10 +198,8 @@ class GnnLayer
     DenseMatrix weightGrad_;
     std::vector<Feature> biasGrad_;
 
-    /** Bumped by internal weight mutators (initWeights, sgdStep). */
+    /** Bumped by every weight mutator; the plan caches key on it. */
     std::uint64_t weightsVersion_ = 0;
-    /** A mutable reference escaped: packs can never be trusted again. */
-    bool weightsAliased_ = false;
     /** Plan-cache slots, one per Precision enumerator. */
     static constexpr std::size_t kNumPrecisions = 2;
     /**

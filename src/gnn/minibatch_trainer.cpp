@@ -127,15 +127,17 @@ MiniBatchTrainer::backwardBatch(const MiniBatch &batch,
              layer.packedWeightsTransposed(config_.precision), dAgg);
 
         // Parameter update (plain SGD per mini-batch).
-        DenseMatrix &weights = layer.weights();
-        for (std::size_t r = 0; r < weights.rows(); ++r) {
-            Feature *w = weights.row(r);
-            const Feature *g = weightGrad.row(r);
-            for (std::size_t c = 0; c < weights.cols(); ++c)
-                w[c] -= config_.learningRate * g[c];
-        }
-        for (std::size_t c = 0; c < biasGrad.size(); ++c)
-            layer.bias()[c] -= config_.learningRate * biasGrad[c];
+        layer.editParameters([&](DenseMatrix &weights,
+                                 std::vector<Feature> &bias) {
+            for (std::size_t r = 0; r < weights.rows(); ++r) {
+                Feature *w = weights.row(r);
+                const Feature *g = weightGrad.row(r);
+                for (std::size_t c = 0; c < weights.cols(); ++c)
+                    w[c] -= config_.learningRate * g[c];
+            }
+            for (std::size_t c = 0; c < biasGrad.size(); ++c)
+                bias[c] -= config_.learningRate * biasGrad[c];
+        });
 
         if (k == 0)
             break;

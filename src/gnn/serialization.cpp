@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -76,8 +77,12 @@ loadModel(GnnModel &model, const std::string &path)
     if (layers != model.numLayers())
         fatal("checkpoint has %u layers, model has %zu", layers,
               model.numLayers());
+    // Read every layer into staging first: a mismatched or truncated
+    // checkpoint must leave the model untouched.
+    std::vector<DenseMatrix> weights(model.numLayers());
+    std::vector<std::vector<Feature>> biases(model.numLayers());
     for (std::size_t k = 0; k < model.numLayers(); ++k) {
-        GnnLayer &layer = model.layer(k);
+        const GnnLayer &layer = model.layer(k);
         const auto inF = readScalar<std::uint64_t>(in);
         const auto outF = readScalar<std::uint64_t>(in);
         const auto relu = readScalar<std::uint8_t>(in);
@@ -85,17 +90,24 @@ loadModel(GnnModel &model, const std::string &path)
             (relu != 0) != layer.hasRelu()) {
             fatal("checkpoint layer %zu shape mismatch", k);
         }
-        DenseMatrix &weights = layer.weights();
-        for (std::size_t r = 0; r < weights.rows(); ++r) {
-            in.read(reinterpret_cast<char *>(weights.row(r)),
-                    weights.cols() * sizeof(Feature));
+        weights[k] = DenseMatrix(layer.inFeatures(), layer.outFeatures());
+        for (std::size_t r = 0; r < weights[k].rows(); ++r) {
+            in.read(reinterpret_cast<char *>(weights[k].row(r)),
+                    weights[k].cols() * sizeof(Feature));
         }
-        auto &bias = layer.bias();
-        in.read(reinterpret_cast<char *>(bias.data()),
-                bias.size() * sizeof(Feature));
+        biases[k].resize(layer.outFeatures());
+        in.read(reinterpret_cast<char *>(biases[k].data()),
+                biases[k].size() * sizeof(Feature));
     }
     if (!in)
         fatal("truncated checkpoint '%s'", path.c_str());
+    for (std::size_t k = 0; k < model.numLayers(); ++k) {
+        model.layer(k).editParameters(
+            [&](DenseMatrix &w, std::vector<Feature> &b) {
+                w = std::move(weights[k]);
+                b = std::move(biases[k]);
+            });
+    }
 }
 
 bool

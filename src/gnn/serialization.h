@@ -25,6 +25,8 @@ void saveModel(const GnnModel &model, const std::string &path);
 /**
  * Load parameters saved by saveModel() into @p model. The layer count
  * and widths must match the model's architecture; fatal() otherwise.
+ * Parameters are installed only after the whole file has been read, so
+ * a failed load leaves @p model unchanged.
  */
 void loadModel(GnnModel &model, const std::string &path);
 

@@ -6,20 +6,11 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "graph/delta_csr.h"
 
 namespace graphite {
 
-namespace {
-
-/**
- * Algorithm 3 core, shared by the CsrGraph and DeltaCsr overloads.
- * @p forEachNeighbor is forEachNeighbor(v, fn) over the full neighbor
- * set of the graph variant.
- */
-template <typename GraphT, typename ForEachNeighbor>
 ProcessingOrder
-localityOrderImpl(const GraphT &graph, ForEachNeighbor &&forEachNeighbor)
+localityOrder(const CsrGraph &graph)
 {
     const VertexId n = graph.numVertices();
     // bucketOf[v] = the vertex whose bucket L_{u'} receives v.
@@ -28,12 +19,12 @@ localityOrderImpl(const GraphT &graph, ForEachNeighbor &&forEachNeighbor)
     for (VertexId v = 0; v < n; ++v) {
         VertexId best = v;
         EdgeId bestDeg = graph.degree(v);
-        forEachNeighbor(v, [&](VertexId u) {
+        for (VertexId u : graph.neighbors(v)) {
             if (graph.degree(u) > bestDeg) {
                 best = u;
                 bestDeg = graph.degree(u);
             }
-        });
+        }
         bucketOf[v] = best;
         ++bucketSize[best];
     }
@@ -48,51 +39,6 @@ localityOrderImpl(const GraphT &graph, ForEachNeighbor &&forEachNeighbor)
     for (VertexId v = 0; v < n; ++v)
         order[cursor[bucketOf[v]]++] = v;
     return order;
-}
-
-} // namespace
-
-ProcessingOrder
-localityOrder(const CsrGraph &graph)
-{
-    return localityOrderImpl(graph, [&](VertexId v, auto &&fn) {
-        for (VertexId u : graph.neighbors(v))
-            fn(u);
-    });
-}
-
-ProcessingOrder
-localityOrder(const DeltaCsr &graph)
-{
-    return localityOrderImpl(graph, [&](VertexId v, auto &&fn) {
-        for (VertexId u : graph.baseNeighbors(v))
-            fn(u);
-        graph.forEachDeltaNeighbor(v, fn);
-    });
-}
-
-const ProcessingOrder &
-LocalityOrderCache::get(const DeltaCsr &graph)
-{
-    if (stale(graph)) {
-        order_ = localityOrder(graph);
-        computedAtEdges_ = graph.numEdges();
-        ++recomputes_;
-    }
-    return order_;
-}
-
-bool
-LocalityOrderCache::stale(const DeltaCsr &graph) const
-{
-    if (recomputes_ == 0)
-        return true;
-    const EdgeId now = graph.numEdges();
-    const EdgeId grown =
-        now > computedAtEdges_ ? now - computedAtEdges_ : 0;
-    const double budget =
-        maxStaleFraction_ * static_cast<double>(computedAtEdges_);
-    return static_cast<double>(grown) > budget;
 }
 
 ProcessingOrder

@@ -1,13 +1,12 @@
 #include "kernels/aggregation.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/assert.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "parallel/thread_pool.h"
 
 #if defined(__AVX512F__)
 #define GRAPHITE_AGG_AVX512 1
@@ -132,45 +131,20 @@ aggregateVertexZmm(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
 using VertexKernel = void (*)(const CsrGraph &, const DenseMatrix &,
                               VertexId, const AggregationSpec &, Feature *);
 
+/** Kernels for Groups = 1..N of one reduction, indexed by Groups - 1. */
+template <ReduceOp Op, std::size_t... G>
+constexpr std::array<VertexKernel, sizeof...(G)>
+zmmKernels(std::index_sequence<G...>)
+{
+    return {aggregateVertexZmm<static_cast<int>(G) + 1, Op>...};
+}
+
 /** Kernel tables indexed by Groups - 1; the JIT-dispatch analogue. */
-constexpr VertexKernel kZmmSumKernels[] = {
-    aggregateVertexZmm<1, ReduceOp::Sum>,
-    aggregateVertexZmm<2, ReduceOp::Sum>,
-    aggregateVertexZmm<3, ReduceOp::Sum>,
-    aggregateVertexZmm<4, ReduceOp::Sum>,
-    aggregateVertexZmm<5, ReduceOp::Sum>,
-    aggregateVertexZmm<6, ReduceOp::Sum>,
-    aggregateVertexZmm<7, ReduceOp::Sum>,
-    aggregateVertexZmm<8, ReduceOp::Sum>,
-    aggregateVertexZmm<9, ReduceOp::Sum>,
-    aggregateVertexZmm<10, ReduceOp::Sum>,
-    aggregateVertexZmm<11, ReduceOp::Sum>,
-    aggregateVertexZmm<12, ReduceOp::Sum>,
-    aggregateVertexZmm<13, ReduceOp::Sum>,
-    aggregateVertexZmm<14, ReduceOp::Sum>,
-    aggregateVertexZmm<15, ReduceOp::Sum>,
-    aggregateVertexZmm<16, ReduceOp::Sum>,
-};
-constexpr VertexKernel kZmmMaxKernels[] = {
-    aggregateVertexZmm<1, ReduceOp::Max>,
-    aggregateVertexZmm<2, ReduceOp::Max>,
-    aggregateVertexZmm<3, ReduceOp::Max>,
-    aggregateVertexZmm<4, ReduceOp::Max>,
-    aggregateVertexZmm<5, ReduceOp::Max>,
-    aggregateVertexZmm<6, ReduceOp::Max>,
-    aggregateVertexZmm<7, ReduceOp::Max>,
-    aggregateVertexZmm<8, ReduceOp::Max>,
-    aggregateVertexZmm<9, ReduceOp::Max>,
-    aggregateVertexZmm<10, ReduceOp::Max>,
-    aggregateVertexZmm<11, ReduceOp::Max>,
-    aggregateVertexZmm<12, ReduceOp::Max>,
-    aggregateVertexZmm<13, ReduceOp::Max>,
-    aggregateVertexZmm<14, ReduceOp::Max>,
-    aggregateVertexZmm<15, ReduceOp::Max>,
-    aggregateVertexZmm<16, ReduceOp::Max>,
-};
-constexpr std::size_t kMaxZmmGroups =
-    sizeof(kZmmSumKernels) / sizeof(kZmmSumKernels[0]);
+constexpr auto kZmmSumKernels =
+    zmmKernels<ReduceOp::Sum>(std::make_index_sequence<16>{});
+constexpr auto kZmmMaxKernels =
+    zmmKernels<ReduceOp::Max>(std::make_index_sequence<16>{});
+constexpr std::size_t kMaxZmmGroups = kZmmSumKernels.size();
 
 #endif // GRAPHITE_AGG_AVX512
 
@@ -201,39 +175,6 @@ aggregateVertexGeneric(const CsrGraph &graph, const DenseMatrix &in,
     }
 }
 
-/**
- * Rows gathered by the vertices at order positions [begin, end): one
- * per neighbour plus the self row. Only walked when the metrics
- * registry is enabled (the aggregation loop itself stays untouched).
- */
-std::uint64_t
-rowsGathered(const CsrGraph &graph, std::span<const VertexId> order,
-             std::size_t begin, std::size_t end)
-{
-    std::uint64_t rows = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-        const VertexId v =
-            order.empty() ? static_cast<VertexId>(i) : order[i];
-        rows += graph.rowEnd(v) - graph.rowBegin(v) + 1;
-    }
-    return rows;
-}
-
-/**
- * Prefetch the first @p lines cache lines of the feature vectors vertex
- * @p v's aggregation will gather (Algorithm 1 lines 8-9).
- */
-inline void
-prefetchVertexInputs(const CsrGraph &graph, const DenseMatrix &in,
-                     VertexId v, std::size_t lines)
-{
-    for (VertexId u : graph.neighbors(v)) {
-        const char *base = reinterpret_cast<const char *>(in.row(u));
-        for (std::size_t l = 0; l < lines; ++l)
-            __builtin_prefetch(base + l * kCacheLineBytes, 0, 3);
-    }
-}
-
 } // namespace
 
 void
@@ -245,7 +186,7 @@ aggregateVertex(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
     const std::size_t groups = stride / 16;
     if (groups >= 1 && groups <= kMaxZmmGroups && stride % 16 == 0) {
         const VertexKernel *table = spec.reduce == ReduceOp::Sum
-            ? kZmmSumKernels : kZmmMaxKernels;
+            ? kZmmSumKernels.data() : kZmmMaxKernels.data();
         table[groups - 1](graph, in, v, spec, dst);
         return;
     }
@@ -259,47 +200,7 @@ aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                std::span<const VertexId> order,
                const AggregationConfig &config)
 {
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateBasic: %s", error);
-    GRAPHITE_DCHECK(reinterpret_cast<std::uintptr_t>(in.data()) %
-                            kFeatureAlignment == 0,
-                    "input features must be cache-line aligned");
-
-    GRAPHITE_TRACE_SPAN("agg.basic");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("agg.bytes_gathered");
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            aggregateVertex(graph, in, v, spec, out.row(v));
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead = i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                prefetchVertexInputs(graph, in, next,
-                                     config.prefetchLines);
-            }
-        }
-        if (metrics.enabled()) {
-            const std::uint64_t rows =
-                rowsGathered(graph, order, begin, end);
-            bytesGathered.add(rows * in.rowBytes());
-            flops.add(2 * rows * in.cols());
-        }
-    });
+    aggregate(graph, in, out, spec, order, config);
 }
 
 void
@@ -308,53 +209,7 @@ aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
                     std::span<const VertexId> order,
                     const AggregationConfig &config)
 {
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                    "compressed aggregation supports sum reduction");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateCompressed: %s", error);
-    const std::size_t stride = out.rowStride();
-
-    GRAPHITE_TRACE_SPAN("agg.compressed");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        if (metrics.enabled())
-            flops.add(2 * rowsGathered(graph, order, begin, end) *
-                      in.cols());
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            Feature *dst = out.row(v);
-            // Self term: expand row v scaled by its self factor. Start
-            // from zero then accumulate so the expanded zeros do not
-            // clobber anything.
-            std::fill(dst, dst + stride, 0.0f);
-            in.accumulateRow(v, spec.selfFactor(v), dst);
-            for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-                in.accumulateRow(graph.colIdx()[e], spec.edgeFactor(e),
-                                 dst);
-            }
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead = i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                for (VertexId u : graph.neighbors(next)) {
-                    __builtin_prefetch(in.values(u), 0, 3);
-                    __builtin_prefetch(in.mask(u), 0, 3);
-                }
-            }
-        }
-    });
+    aggregate(graph, in, out, spec, order, config);
 }
 
 namespace {
@@ -418,56 +273,6 @@ aggregateVertexBf16(const CsrGraph &graph, const Bf16Matrix &in,
         combineBf16Row(in.row(graph.colIdx()[e]), width,
                        spec.edgeFactor(e), dst, spec.reduce);
     }
-}
-
-void
-aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
-              DenseMatrix &out, const AggregationSpec &spec,
-              std::span<const VertexId> order,
-              const AggregationConfig &config)
-{
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateBf16: %s", error);
-    const std::size_t stride = out.rowStride();
-
-    GRAPHITE_TRACE_SPAN("agg.bf16");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("agg.bytes_gathered");
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            aggregateVertexBf16(graph, in, v, spec, out.row(v), stride);
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead =
-                    i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                for (VertexId u : graph.neighbors(next))
-                    __builtin_prefetch(in.row(u), 0, 3);
-            }
-        }
-        if (metrics.enabled()) {
-            const std::uint64_t rows =
-                rowsGathered(graph, order, begin, end);
-            // in.rowBytes() is 2 bytes per element: the traffic halving
-            // the bytes-gathered comparison against fp32 runs measures.
-            bytesGathered.add(rows * in.rowBytes());
-            flops.add(2 * rows * in.cols());
-        }
-    });
 }
 
 void

@@ -21,6 +21,7 @@
 
 #include "compress/compressed_matrix.h"
 #include "graph/csr_graph.h"
+#include "graph/partition/partition_plan.h"
 #include "graph/reorder.h"
 #include "tensor/bf16_matrix.h"
 #include "tensor/dense_matrix.h"
@@ -99,7 +100,10 @@ AggregationSpec sumSpec();
 /** Unweighted element-wise max over N(v) ∪ {v} (pooling aggregator). */
 AggregationSpec maxSpec();
 
-/** Tuning knobs of the aggregation kernels. */
+/**
+ * Gather knobs of every aggregation and fused kernel; the fused kernels
+ * size their tasks from FusedConfig instead of @c taskSize.
+ */
 struct AggregationConfig
 {
     /** Vertices per dynamically-scheduled task (T in Algorithm 1). */
@@ -107,48 +111,123 @@ struct AggregationConfig
     /** Prefetch distance in vertices (D in Algorithm 1); 0 disables. */
     std::size_t prefetchDistance = 4;
     /**
-     * Cache lines prefetched from each upcoming feature vector. The
-     * paper empirically uses 2 to avoid saturating the L1 fill buffers.
+     * Cache lines prefetched from each upcoming fp32 feature vector
+     * (bf16 and compressed rows prefetch their first line). The paper
+     * empirically uses 2 to avoid saturating the L1 fill buffers.
      */
     std::size_t prefetchLines = 2;
 };
 
 /**
- * Algorithm 1: out[v, :] = selfFactor(v)·in[v, :] +
- * Σ_{u ∈ N(v)} edgeFactor(v,u)·in[u, :], processed in @p order.
- *
- * @param order processing order (Section 4.4), or empty for identity.
+ * The feature rows a gather reads, in one of the three stored forms:
+ * fp32 rows, bf16 rows (widened to fp32 in registers) or mask-compressed
+ * rows (expanded on the fly, Section 4.3). Exactly one pointer is set;
+ * the implicit constructors let every kernel entry take any of them.
+ * Accumulation is fp32 for all three.
  */
+struct FeatureRows
+{
+    FeatureRows(const DenseMatrix &rows) : fp32(&rows) {}
+    FeatureRows(const Bf16Matrix &rows) : bf16(&rows) {}
+    FeatureRows(const CompressedMatrix &rows) : packed(&rows) {}
+
+    std::size_t
+    rows() const
+    {
+        return packed ? packed->rows() : bf16 ? bf16->rows() : fp32->rows();
+    }
+
+    std::size_t
+    cols() const
+    {
+        return packed ? packed->cols() : bf16 ? bf16->cols() : fp32->cols();
+    }
+
+    const DenseMatrix *fp32 = nullptr;
+    const Bf16Matrix *bf16 = nullptr;
+    const CompressedMatrix *packed = nullptr;
+};
+
+/**
+ * The order vertices are processed in, split into segments that no
+ * thread-pool task straddles. Flat execution is one segment over
+ * @c order (Section 4.4's locality order, or identity when empty).
+ * Shard-major execution follows a PartitionPlan's shardMajorOrder with
+ * one segment per shard, so while a shard is in flight its slice of
+ * the feature matrix stays cache-resident. Every gather reads the
+ * global CSR, so results are bit-identical for any schedule; only the
+ * processing order and task boundaries change.
+ */
+struct Schedule
+{
+    Schedule() = default;
+    Schedule(std::span<const VertexId> order) : order(order) {}
+    Schedule(const ProcessingOrder &order) : order(order) {}
+
+    /**
+     * Shard-major execution of @p plan. @p delayed selects
+     * DistGNN-style aggregation instead of the exact gather: each shard
+     * folds its self and intra-shard terms first, then gathers every
+     * halo row once into a shard-local replica and folds the cut edges
+     * from it. Hub rows are pulled once per shard instead of once per
+     * cut edge, so gathered bytes drop; the changed summation order
+     * makes sums fp-tolerant rather than bit-equal (max stays exact).
+     * Aggregation only: the fused kernels have no replica phase.
+     */
+    explicit Schedule(const PartitionPlan &plan, bool delayed = false)
+        : order(plan.shardMajorOrder), segments(plan.ownedStart),
+          delayedHalo(delayed ? &plan : nullptr)
+    {
+    }
+
+    /** Processing order over all vertices, or empty for identity. */
+    std::span<const VertexId> order;
+    /**
+     * Segment bounds into @c order (0 = b_0 <= ... <= b_S = |V|), or
+     * empty for one segment over everything.
+     */
+    std::span<const std::size_t> segments;
+    /** The plan to run delayed-halo aggregation over, or null. */
+    const PartitionPlan *delayedHalo = nullptr;
+
+    VertexId
+    vertex(std::size_t position) const
+    {
+        return order.empty() ? static_cast<VertexId>(position)
+                             : order[position];
+    }
+};
+
+/**
+ * Algorithm 1: out[v, :] = selfFactor(v)·in[v, :] ⊕
+ * ⊕_{u ∈ N(v)} edgeFactor(v,u)·in[u, :], for every vertex, tasks carved
+ * from @p schedule. Compressed rows support sum reduction only.
+ *
+ * Counters: agg.flops; for fp32 and bf16 rows also agg.bytes_gathered
+ * at the stored row size, plus partition.bytes_gathered under a shard
+ * schedule (compressed gathers feed no byte counter). Delayed-halo runs
+ * feed only the partition.* counters.
+ */
+void aggregate(const CsrGraph &graph, FeatureRows in, DenseMatrix &out,
+               const AggregationSpec &spec, const Schedule &schedule = {},
+               const AggregationConfig &config = {});
+
+/** aggregate() over fp32 rows in @p order (empty for identity). */
 void aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                     DenseMatrix &out, const AggregationSpec &spec,
                     std::span<const VertexId> order = {},
                     const AggregationConfig &config = {});
 
-/**
- * Aggregation reading mask-compressed input features (Section 4.3):
- * identical math to aggregateBasic, with each gathered row expanded
- * on the fly from its packed form.
- */
+/** aggregate() over mask-compressed rows in @p order. */
 void aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
                          DenseMatrix &out, const AggregationSpec &spec,
                          std::span<const VertexId> order = {},
                          const AggregationConfig &config = {});
 
 /**
- * Aggregation reading bf16 input features: each gathered row is
- * expanded to fp32 on the fly, halving feature traffic at reduced
- * precision — the dense-feature counterpart of mask compression (see
- * tensor/bf16_matrix.h). Accumulation stays in fp32.
- */
-void aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                   DenseMatrix &out, const AggregationSpec &spec,
-                   std::span<const VertexId> order = {},
-                   const AggregationConfig &config = {});
-
-/**
  * Serial single-vertex aggregation into @p dst (rowStride-padded):
- * the AGGREGATE building block shared by the fused kernels and the DMA
- * functional model.
+ * the AGGREGATE building block shared by the kernel driver, the DMA
+ * functional model and the serving and mini-batch paths.
  */
 void aggregateVertex(const CsrGraph &graph, const DenseMatrix &in,
                      VertexId v, const AggregationSpec &spec, Feature *dst);
@@ -156,8 +235,8 @@ void aggregateVertex(const CsrGraph &graph, const DenseMatrix &in,
 /**
  * Serial single-vertex aggregation from bf16 features: gathered rows
  * are widened to fp32 in registers and accumulated into @p dst[0,
- * @p width) — the bf16 counterpart of aggregateVertex, shared by
- * aggregateBf16 and the fused bf16 kernels. @p width must be a
+ * @p width) — the bf16 counterpart of aggregateVertex, used for every
+ * bf16 gather. @p width must be a
  * multiple of the fp32 row padding (it is never wider than the bf16
  * row stride, so over-reading the source padding is safe).
  */

@@ -28,7 +28,7 @@ namespace graphite {
 /** The update phase: h = act(W·a + b) (paper Table 2's FC + ReLU). */
 struct UpdateOp
 {
-    /** F_in x F_out weight matrix. */
+    /** F_in x F_out weight matrix (may be null when packedWeights is set). */
     const DenseMatrix *weights = nullptr;
     /** Optional bias of length F_out. */
     std::span<const Feature> bias = {};
@@ -36,9 +36,8 @@ struct UpdateOp
     bool relu = true;
     /**
      * Optional NN-mode pack of @c weights (GnnLayer's epoch-cached
-     * plan). When null, consumers that need the packed form pack once
-     * per layer invocation themselves. A supplied plan must have been
-     * packed at @c precision.
+     * plan). When null, the kernel packs @c weights once per call. A
+     * supplied plan must have been packed at @c precision.
      */
     const GemmPlan *packedWeights = nullptr;
     /**
@@ -49,80 +48,61 @@ struct UpdateOp
     Precision precision = Precision::Fp32;
 };
 
-/** Tuning knobs of the fused kernel (Algorithm 2's constants). */
+/** Block shape of the fused kernels (Algorithm 2's constants). */
 struct FusedConfig
 {
     /** Vertices per block (B): sized so B aggregation rows fit in L2. */
     std::size_t blockSize = 16;
     /** Blocks per dynamically-scheduled task (T). */
     std::size_t blocksPerTask = 4;
-    /** Aggregation prefetch knobs (shared with Algorithm 1). */
-    AggregationConfig agg;
 };
 
 /**
- * Fused aggregation + update for training (Figure 5b): the aggregation
- * block is consumed by the update while cache-resident, but the whole
- * a^k matrix is still written out because back-propagation needs it.
- *
- * @param aggOut   full |V| x F_in aggregation matrix (kept for backprop).
- * @param out      |V| x F_out output features h^k.
- * @param order    processing order or empty for identity.
+ * Optional extra outputs of a fused layer, each written from the
+ * cache-resident block and indexed by vertex.
  */
+struct FusedOutputs
+{
+    /**
+     * Training (Figure 5b): the full |V| x F_in aggregation matrix a^k,
+     * kept for back-propagation. Null for inference (Figure 5c), where
+     * a^k lives only in a per-thread block buffer.
+     */
+    DenseMatrix *aggOut = nullptr;
+    /**
+     * Packed copy of h^k for the next layer's compressed gathers — where
+     * training's ReLU/dropout sparsity pays off. Must be |V| x F_out.
+     */
+    CompressedMatrix *outCompressed = nullptr;
+    /** Bf16 copy of h^k for the next layer's half-width gathers. */
+    Bf16Matrix *outBf16 = nullptr;
+};
+
+/**
+ * Algorithm 2: per block of B vertices from @p schedule, gather the
+ * block's aggregation rows from @p in (fp32, bf16 or compressed) into
+ * a cache-resident buffer, then run the update micro-GEMM (at
+ * update.precision) from that buffer straight into @p out.
+ *
+ * Counters: fused.bytes_gathered (at the stored row size; the mean
+ * packed size for compressed rows), fused.flops and fused.block_us;
+ * shard-major schedules also feed partition.bytes_gathered.
+ */
+void fusedLayer(const CsrGraph &graph, FeatureRows in,
+                const AggregationSpec &spec, const UpdateOp &update,
+                DenseMatrix &out, const FusedOutputs &outputs = {},
+                const Schedule &schedule = {},
+                const FusedConfig &config = {},
+                const AggregationConfig &gather = {});
+
+/** fusedLayer() for training over fp32 rows in @p order. */
 void fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
                         const AggregationSpec &spec, const UpdateOp &update,
                         DenseMatrix &aggOut, DenseMatrix &out,
                         std::span<const VertexId> order = {},
                         const FusedConfig &config = {});
 
-/**
- * Fused aggregation + update for inference (Figure 5c): a^k lives only
- * in a per-thread reusable block buffer and is never written to memory.
- *
- * @param outBf16 when non-null, each produced h^k row is also rounded
- *                to bf16 while cache-resident — the write-side
- *                conversion that feeds the next layer's bf16 gathers
- *                without an extra pass over DRAM. Must be |V| x F_out.
- */
-void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
-                         const AggregationSpec &spec, const UpdateOp &update,
-                         DenseMatrix &out,
-                         std::span<const VertexId> order = {},
-                         const FusedConfig &config = {},
-                         Bf16Matrix *outBf16 = nullptr);
-
-/**
- * Bf16-input fused variants (the precision analogue of the compressed
- * pair): gathered rows are widened from bf16 to fp32 in registers
- * during aggregation, so half-width features never round-trip through
- * a DRAM scratch, and the per-block micro-GEMM runs at the update op's
- * precision. @p aggOut still persists fp32 aggregation rows (backprop
- * consumes them at full precision).
- * @{
- */
-void fusedLayerTrainingBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                            const AggregationSpec &spec,
-                            const UpdateOp &update, DenseMatrix &aggOut,
-                            DenseMatrix &out,
-                            std::span<const VertexId> order = {},
-                            const FusedConfig &config = {});
-
-void fusedLayerInferenceBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                             const AggregationSpec &spec,
-                             const UpdateOp &update, DenseMatrix &out,
-                             std::span<const VertexId> order = {},
-                             const FusedConfig &config = {},
-                             Bf16Matrix *outBf16 = nullptr);
-/** @} */
-
-/**
- * Compressed-input variants (Section 4.3 combined with fusion): gathered
- * rows are expanded on the fly from @p in's packed form. When
- * @p outCompressed is non-null the produced h^k rows are also compressed
- * so the *next* layer reads packed data — that write-side compression is
- * where training's ReLU/dropout sparsity pays off.
- * @{
- */
+/** fusedLayer() for training over compressed rows in @p order. */
 void fusedLayerTrainingCompressed(const CsrGraph &graph,
                                   const CompressedMatrix &in,
                                   const AggregationSpec &spec,
@@ -131,15 +111,6 @@ void fusedLayerTrainingCompressed(const CsrGraph &graph,
                                   CompressedMatrix *outCompressed = nullptr,
                                   std::span<const VertexId> order = {},
                                   const FusedConfig &config = {});
-
-void fusedLayerInferenceCompressed(const CsrGraph &graph,
-                                   const CompressedMatrix &in,
-                                   const AggregationSpec &spec,
-                                   const UpdateOp &update, DenseMatrix &out,
-                                   CompressedMatrix *outCompressed = nullptr,
-                                   std::span<const VertexId> order = {},
-                                   const FusedConfig &config = {});
-/** @} */
 
 /**
  * Fused backward kernel — Algorithm 2's counterpart for training's
@@ -153,38 +124,24 @@ void fusedLayerInferenceCompressed(const CsrGraph &graph,
  * Instead this kernel exploits that the two operators commute —
  * aggregation is a row-mixing (sparse-left) multiply, the weight GEMM a
  * column-mixing (dense-right) multiply, so Aggᵀ(dz·Wᵀ) = (Aggᵀ dz)·Wᵀ
- * — which restores the forward kernel's pull-shape: per block of B
- * vertices, aggregate dz rows over the transposed CSR into a
- * cache-resident block buffer, then run the `·Wᵀ` micro-GEMM (via the
- * prepacked NT @p weightsNT plan, gemmBlockSerial) from that buffer
- * straight into @p gradIn. The F_out-wide dz block stays L2-resident
- * between the two phases and dAgg is never materialised.
+ * — which restores the forward kernel's pull-shape: the same driver as
+ * fusedLayer(), gathering dz rows (fp32 or bf16) over the transposed
+ * CSR and multiplying each block by the prepacked NT @p weightsNT
+ * plan, with no bias or ReLU. dAgg is never materialised.
  *
  * @param transposed     transposed graph.
  * @param dz             dL/d(pre-activation), |V| x F_out.
  * @param transposedSpec factors remapped by transposeSpec(); Sum only.
  * @param weightsNT      W packed in NT mode (K=F_out, N=F_in).
  * @param gradIn         dL/dh_prev output, |V| x F_in.
- * @param order          processing order for the transposed graph.
+ * @param schedule       processing schedule of the transposed graph.
  */
-void fusedLayerBackward(const CsrGraph &transposed, const DenseMatrix &dz,
+void fusedLayerBackward(const CsrGraph &transposed, FeatureRows dz,
                         const AggregationSpec &transposedSpec,
                         const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                        std::span<const VertexId> order = {},
-                        const FusedConfig &config = {});
-
-/**
- * Bf16 fused backward: dz is gathered at half width (widened to fp32
- * in registers) and the `·Wᵀ` micro-GEMM consumes the bf16 NT plan.
- * Gradients accumulate in fp32 throughout; only the gathered operands
- * are rounded.
- */
-void fusedLayerBackwardBf16(const CsrGraph &transposed,
-                            const Bf16Matrix &dz,
-                            const AggregationSpec &transposedSpec,
-                            const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                            std::span<const VertexId> order = {},
-                            const FusedConfig &config = {});
+                        const Schedule &schedule = {},
+                        const FusedConfig &config = {},
+                        const AggregationConfig &gather = {});
 
 /**
  * Unfused reference layer: aggregateBasic over the full graph, then a

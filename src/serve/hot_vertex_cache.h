@@ -127,9 +127,9 @@ class HotVertexCache
     /**
      * Shard fill epoch of @p v, for the stale-fill protocol (DESIGN.md
      * §14): read the epoch *before* gathering v's neighborhood, then
-     * install with putIfFresh(). invalidate()/patchMeanRow() bump the
-     * epoch, so a fill computed from pre-update adjacency can never be
-     * installed after the update invalidated it.
+     * install with putIfFresh(). invalidate() bumps the epoch, so a
+     * fill computed from pre-update adjacency can never be installed
+     * after the update invalidated it.
      */
     std::uint64_t fillEpoch(VertexId v) const;
 
@@ -149,22 +149,6 @@ class HotVertexCache
     bool invalidate(VertexId v);
 
     /**
-     * Exact mean-aggregation patch for an inserted edge v -> u: if
-     * @p v is resident, rescale its cached row from the
-     * (@p oldDegree + 1)-term mean to include @p addedRow:
-     *
-     *   row' = (row * (oldDegree + 1) + addedRow) / (oldDegree + 2)
-     *
-     * Mathematically exact, but not bitwise identical to a re-gathered
-     * mean (different FP summation order), so the bitwise serving
-     * contract requires invalidate() instead; patching is the cheap
-     * opt-in (see ServeConfig::patchCacheOnInsert). Bumps the shard
-     * fill epoch either way. Returns true when the patch was applied.
-     */
-    bool patchMeanRow(VertexId v, const Feature *addedRow,
-                      EdgeId oldDegree);
-
-    /**
      * Drop every resident row and bump all shard fill epochs. Called
      * around overlay compaction: a compacted row gathers in sorted
      * merged order, not base-then-delta-chain order, so rows cached
@@ -181,7 +165,7 @@ class HotVertexCache
         std::uint64_t misses = 0;
         std::uint64_t puts = 0;
         std::uint64_t evictions = 0;
-        /** invalidate()/patchMeanRow() calls (edge-update traffic). */
+        /** invalidate() calls (edge-update traffic). */
         std::uint64_t invalidations = 0;
     };
 
@@ -209,7 +193,7 @@ class HotVertexCache
         std::size_t clockHand GRAPHITE_GUARDED_BY(mutex) = 0;
         std::size_t tombstones GRAPHITE_GUARDED_BY(mutex) = 0;
         /**
-         * Fill epoch: bumped by invalidate()/patchMeanRow(), read
+         * Fill epoch: bumped by invalidate() and clear(), read
          * lock-free by fillEpoch(). Atomic (not merely guarded) so
          * the pre-gather read takes no lock; mutations happen under
          * the shard mutex.

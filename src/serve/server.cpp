@@ -481,16 +481,11 @@ InferenceServer::insertEdge(VertexId src, VertexId dst)
     liveStats_.onEdgeInserted(newDegree);
 
     // Cache coherence: src's cached aggregation row now misses the new
-    // neighbor. Patch it in place (exact mean rescale) or drop it;
-    // both bump the shard fill epoch, so any in-flight fill gathered
-    // from pre-insert adjacency is rejected by putIfFresh.
-    if (cache_.enabled()) {
-        if (config_.patchCacheOnInsert) {
-            cache_.patchMeanRow(src, features_.row(dst), newDegree - 1);
-        } else {
-            cache_.invalidate(src);
-        }
-    }
+    // neighbor. Drop it; that bumps the shard fill epoch, so any
+    // in-flight fill gathered from pre-insert adjacency is rejected by
+    // putIfFresh.
+    if (cache_.enabled())
+        cache_.invalidate(src);
 
     // Re-derive the auto admission threshold as hubs grow.
     if (config_.thresholdRefreshEvery > 0 &&

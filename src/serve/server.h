@@ -68,15 +68,6 @@ struct ServeConfig
     /** Update-GEMM precision (the per-precision plan-cache key). */
     Precision precision = Precision::Fp32;
     /**
-     * Edge-insert cache policy (overlay mode): false = invalidate the
-     * source's cached row (next touch re-gathers; preserves the
-     * bitwise cache-on == hub-exact-oracle contract), true = patch the
-     * resident row in place with the exact mean update (cheaper — no
-     * re-gather — but FP summation order differs from a fresh gather,
-     * so bitwise parity is waived; see HotVertexCache::patchMeanRow).
-     */
-    bool patchCacheOnInsert = false;
-    /**
      * Overlay mode: re-derive the auto admission threshold after this
      * many accepted edge inserts, so the degree gate tracks hubs as
      * they grow (0 = never; ignored when hotCacheMinDegree pins an
@@ -159,8 +150,7 @@ class InferenceServer
     /**
      * Edge-update path (overlay mode only): insert src -> dst into the
      * overlay and keep the serving state coherent — the source's
-     * cached aggregation row is invalidated (or mean-patched, see
-     * ServeConfig::patchCacheOnInsert), live graph stats are folded
+     * cached aggregation row is invalidated, live graph stats are folded
      * forward in O(1), and the auto admission threshold is re-derived
      * every thresholdRefreshEvery accepted inserts. Thread-safe
      * against the consumer loop, serveOne() and other insertEdge()
@@ -218,8 +208,8 @@ class InferenceServer
      * *policy*: admissible hubs use the exact full-neighborhood mean
      * (freshly gathered, never cached), everything else the sampled
      * estimate. This is the bitwise oracle for cache-on serving — with
-     * churn quiesced and patchCacheOnInsert off, a cache-on batch and
-     * this replay produce identical embeddings bit for bit.
+     * churn quiesced, a cache-on batch and this replay produce
+     * identical embeddings bit for bit.
      */
     void serveOneHubExact(std::uint64_t requestId, VertexId vertex,
                           Feature *out);

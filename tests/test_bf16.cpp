@@ -366,7 +366,7 @@ TEST(Bf16Aggregation, MatchesFp32OnRoundedInput)
     DenseMatrix ref(g.numVertices(), 43);
     aggregateBasic(g, rounded, ref, spec);
     DenseMatrix got(g.numVertices(), 43);
-    aggregateBf16(g, packed, got, spec);
+    aggregate(g, packed, got, spec);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 43; ++c)
             EXPECT_EQ(floatBits(got.at(v, c)), floatBits(ref.at(v, c)))
@@ -389,7 +389,7 @@ TEST(Bf16Aggregation, MaxReduceAndProcessingOrder)
     aggregateBasic(g, rounded, ref, spec);
     const ProcessingOrder order = localityOrder(g);
     DenseMatrix got(g.numVertices(), 24);
-    aggregateBf16(g, packed, got, spec, order);
+    aggregate(g, packed, got, spec, order);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 24; ++c)
             EXPECT_EQ(floatBits(got.at(v, c)), floatBits(ref.at(v, c)))
@@ -417,7 +417,7 @@ TEST(Bf16FusedLayer, InferenceMatchesUnfusedComposition)
 
     // Unfused composition at the same precision.
     DenseMatrix agg(g.numVertices(), fIn);
-    aggregateBf16(g, packed, agg, spec);
+    aggregate(g, packed, agg, spec);
     DenseMatrix ref(g.numVertices(), fOut);
     gemm(GemmMode::NN, agg, plan, ref);
     addBias(ref, bias);
@@ -425,8 +425,7 @@ TEST(Bf16FusedLayer, InferenceMatchesUnfusedComposition)
 
     Bf16Matrix outBf16(g.numVertices(), fOut);
     DenseMatrix out(g.numVertices(), fOut);
-    fusedLayerInferenceBf16(g, packed, spec, update, out, {}, {},
-                            &outBf16);
+    fusedLayer(g, packed, spec, update, out, {nullptr, nullptr, &outBf16});
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < fOut; ++c) {
             EXPECT_NEAR(out.at(v, c), ref.at(v, c),
@@ -457,11 +456,11 @@ TEST(Bf16FusedLayer, TrainingKeepsFp32AggForBackprop)
     const UpdateOp update{&weights, bias, true, &plan, Precision::Bf16};
 
     DenseMatrix refAgg(g.numVertices(), 32);
-    aggregateBf16(g, packed, refAgg, spec);
+    aggregate(g, packed, refAgg, spec);
 
     DenseMatrix aggOut(g.numVertices(), 32);
     DenseMatrix out(g.numVertices(), 16);
-    fusedLayerTrainingBf16(g, packed, spec, update, aggOut, out);
+    fusedLayer(g, packed, spec, update, out, {&aggOut});
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 32; ++c)
             EXPECT_EQ(floatBits(aggOut.at(v, c)),
@@ -501,7 +500,7 @@ TEST(Bf16FusedLayer, BackwardMatchesUnfusedComposition)
     gemm(GemmMode::NT, aggT, planNT, ref);
 
     DenseMatrix got(g.numVertices(), fIn);
-    fusedLayerBackwardBf16(t, dzBf16, tSpec, planNT, got);
+    fusedLayerBackward(t, dzBf16, tSpec, planNT, got);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < fIn; ++c) {
             EXPECT_NEAR(got.at(v, c), ref.at(v, c),
@@ -533,7 +532,7 @@ TEST(Bf16Traffic, GatherBytesHalveAtFullPrecisionWidths)
     const std::uint64_t base = bytes.value();
     aggregateBasic(g, features, out, spec);
     const std::uint64_t fp32Bytes = bytes.value() - base;
-    aggregateBf16(g, packed, out, spec);
+    aggregate(g, packed, out, spec);
     const std::uint64_t bf16Bytes = bytes.value() - base - fp32Bytes;
     registry.setEnabled(wasEnabled);
 
@@ -570,9 +569,9 @@ TEST(Bf16Traffic, FusedGatherBytesHalveToo)
     registry.setEnabled(true);
     obs::Counter &bytes = registry.counter("fused.bytes_gathered");
     const std::uint64_t base = bytes.value();
-    fusedLayerInference(g, features, spec, fp32Update, out);
+    fusedLayer(g, features, spec, fp32Update, out);
     const std::uint64_t fp32Bytes = bytes.value() - base;
-    fusedLayerInferenceBf16(g, packed, spec, bf16Update, out);
+    fusedLayer(g, packed, spec, bf16Update, out);
     const std::uint64_t bf16Bytes = bytes.value() - base - fp32Bytes;
     registry.setEnabled(wasEnabled);
 

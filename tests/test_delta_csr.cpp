@@ -236,53 +236,6 @@ TEST(IncrementalGraphStats, MatchesRecomputeAfterEveryInsert)
 }
 
 // ------------------------------------------------------------------
-// Locality order over an overlay
-// ------------------------------------------------------------------
-
-TEST(LocalityOrder, OverlayWithZeroDeltasMatchesBase)
-{
-    const CsrGraph base = generateBarabasiAlbert(200, 4, 21);
-    DeltaCsr overlay(generateBarabasiAlbert(200, 4, 21), 256);
-    EXPECT_EQ(localityOrder(base), localityOrder(overlay));
-}
-
-TEST(LocalityOrderCache, RecomputesOnlyPastStalenessBudget)
-{
-    DeltaCsr overlay(generateBarabasiAlbert(200, 4, 22), 4096);
-    const EdgeId baseEdges = overlay.numEdges();
-    LocalityOrderCache cache(0.05);
-    EXPECT_TRUE(cache.stale(overlay));
-    const ProcessingOrder first = cache.get(overlay);
-    EXPECT_EQ(cache.recomputes(), 1u);
-    EXPECT_EQ(first.size(), overlay.numVertices());
-
-    // Insert fewer than 5% of the edge count: the cached order holds.
-    const auto budget = static_cast<EdgeId>(0.05 * baseEdges);
-    Rng rng(23);
-    EdgeId added = 0;
-    while (added + 1 < budget) {
-        const auto src = static_cast<VertexId>(rng.next() % 200);
-        const auto dst = static_cast<VertexId>(rng.next() % 200);
-        if (overlay.addEdge(src, dst) == DeltaCsr::AddEdge::Added)
-            ++added;
-    }
-    EXPECT_FALSE(cache.stale(overlay));
-    (void)cache.get(overlay);
-    EXPECT_EQ(cache.recomputes(), 1u);
-
-    // Crossing the budget forces one recompute, then holds again.
-    while (cache.recomputes() == 1u && !cache.stale(overlay)) {
-        const auto src = static_cast<VertexId>(rng.next() % 200);
-        const auto dst = static_cast<VertexId>(rng.next() % 200);
-        (void)overlay.addEdge(src, dst);
-    }
-    EXPECT_TRUE(cache.stale(overlay));
-    (void)cache.get(overlay);
-    EXPECT_EQ(cache.recomputes(), 2u);
-    EXPECT_FALSE(cache.stale(overlay));
-}
-
-// ------------------------------------------------------------------
 // Sampler parity
 // ------------------------------------------------------------------
 

@@ -134,7 +134,7 @@ TEST(Bf16, AggregationTracksFp32WithinPrecision)
     DenseMatrix full(g.numVertices(), 128);
     DenseMatrix half(g.numVertices(), 128);
     aggregateBasic(g, h, full, spec);
-    aggregateBf16(g, packed, half, spec);
+    aggregate(g, packed, half, spec);
     // Each input carries <2^-8 relative error; the normalised sums
     // stay well within 1% for unit-scale features.
     EXPECT_LT(full.maxAbsDiff(half), 0.02);
@@ -163,7 +163,7 @@ TEST(Bf16, MaxReductionAggregationsWork)
     DenseMatrix expected(g.numVertices(), 32);
     DenseMatrix actual(g.numVertices(), 32);
     aggregateReference(g, restored, expected, spec);
-    aggregateBf16(g, packed, actual, spec);
+    aggregate(g, packed, actual, spec);
     EXPECT_LT(expected.maxAbsDiff(actual), 1e-6);
 }
 
@@ -244,7 +244,9 @@ TEST(Adam, WeightDecayShrinksWeights)
     adamConfig.learningRate = 0.1f;
     adamConfig.weightDecay = 0.5f;
     AdamOptimizer adam(model, adamConfig);
-    model.layer(0).weights().fillUniform(1.0f, 1.0f, 0); // all ones
+    model.layer(0).editParameters([](DenseMatrix &w, std::vector<Feature> &) {
+        w.fillUniform(1.0f, 1.0f, 0); // all ones
+    });
     // weightGrad is zero-initialised (no backward ran).
     double before = 0.0;
     for (std::size_t c = 0; c < 4; ++c)

@@ -90,7 +90,7 @@ TEST(FusedLayer, InferenceVariantMatchesUnfused)
     LayerFixture fx(128, 128);
     auto [refAgg, refOut] = fx.reference();
     DenseMatrix out(fx.graph.numVertices(), 128);
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), out);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }
 
@@ -127,13 +127,13 @@ TEST(FusedLayer, CompressedOutputRoundTrips)
     LayerFixture fx(64, 64, 0.5);
     DenseMatrix out(fx.graph.numVertices(), 64);
     CompressedMatrix outPacked(fx.graph.numVertices(), 64);
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), out);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), out);
 
     CompressedMatrix inPacked(fx.graph.numVertices(), 64);
     inPacked.compressFrom(fx.input);
     DenseMatrix out2(fx.graph.numVertices(), 64);
-    fusedLayerInferenceCompressed(fx.graph, inPacked, fx.spec, fx.update(),
-                                  out2, &outPacked);
+    fusedLayer(fx.graph, inPacked, fx.spec, fx.update(), out2,
+               {nullptr, &outPacked});
     EXPECT_LT(out.maxAbsDiff(out2), 1e-4);
 
     // The packed output must decompress to the dense output (ReLU makes

@@ -20,6 +20,15 @@
 namespace graphite {
 namespace {
 
+/** Write one weight through the layer's invalidating mutator. */
+void
+setWeight(GnnLayer &layer, std::size_t r, std::size_t c, Feature value)
+{
+    layer.editParameters([&](DenseMatrix &w, std::vector<Feature> &) {
+        w.at(r, c) = value;
+    });
+}
+
 CsrGraph
 testGraph()
 {
@@ -120,13 +129,12 @@ TEST(GnnLayer, WeightGradientMatchesFiniteDifference)
     const float eps = 1e-3f;
     for (std::size_t r = 0; r < 3; ++r) {
         for (std::size_t c = 0; c < 2; ++c) {
-            Feature &w = model.layer(0).weights().at(r, c);
-            const Feature orig = w;
-            w = orig + eps;
+            const Feature orig = model.layer(0).weights().at(r, c);
+            setWeight(model.layer(0), r, c, orig + eps);
             const double lossPlus = lossOf();
-            w = orig - eps;
+            setWeight(model.layer(0), r, c, orig - eps);
             const double lossMinus = lossOf();
-            w = orig;
+            setWeight(model.layer(0), r, c, orig);
             const double numeric = (lossPlus - lossMinus) / (2.0 * eps);
             EXPECT_NEAR(analytic.at(r, c), numeric,
                         5e-3 * std::max(1.0, std::abs(numeric)))
@@ -167,13 +175,12 @@ TEST(GnnLayer, TwoLayerGradientMatchesFiniteDifference)
 
     const float eps = 1e-3f;
     for (std::size_t r = 0; r < 2; ++r) {
-        Feature &w = model.layer(0).weights().at(r, 1);
-        const Feature orig = w;
-        w = orig + eps;
+        const Feature orig = model.layer(0).weights().at(r, 1);
+        setWeight(model.layer(0), r, 1, orig + eps);
         const double lossPlus = lossOf();
-        w = orig - eps;
+        setWeight(model.layer(0), r, 1, orig - eps);
         const double lossMinus = lossOf();
-        w = orig;
+        setWeight(model.layer(0), r, 1, orig);
         const double numeric = (lossPlus - lossMinus) / (2.0 * eps);
         EXPECT_NEAR(analytic.at(r, 1), numeric,
                     1e-2 * std::max(1.0, std::abs(numeric)));
@@ -294,8 +301,8 @@ TEST(Trainer, CheckNumericsDetectsPoisonedWeights)
     // before the epoch's stats are reported as if nothing happened.
     {
         GnnModel model(g, config);
-        model.layer(0).weights().at(0, 0) =
-            std::numeric_limits<float>::quiet_NaN();
+        setWeight(model.layer(0), 0, 0,
+                  std::numeric_limits<float>::quiet_NaN());
         TrainerConfig tc;
         tc.checkNumerics = true;
         Trainer trainer(model, task.features, task.labels, tc);
@@ -306,8 +313,8 @@ TEST(Trainer, CheckNumericsDetectsPoisonedWeights)
     // throw), which is exactly why the opt-in sweep exists.
     {
         GnnModel model(g, config);
-        model.layer(0).weights().at(0, 0) =
-            std::numeric_limits<float>::quiet_NaN();
+        setWeight(model.layer(0), 0, 0,
+                  std::numeric_limits<float>::quiet_NaN());
         TrainerConfig tc;
         Trainer trainer(model, task.features, task.labels, tc);
         EXPECT_NO_THROW(trainer.trainEpoch());

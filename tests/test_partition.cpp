@@ -22,7 +22,7 @@
 #include "graph/graph_builder.h"
 #include "graph/partition/partition_stats.h"
 #include "graph/partition/partitioner.h"
-#include "kernels/shard_exec.h"
+#include "kernels/fused_layer.h"
 #include "obs/metrics.h"
 #include "sim/machine.h"
 #include "sim/workloads.h"
@@ -271,7 +271,7 @@ TEST_P(ShardedParity, AggregationMatchesGlobalBitwise)
     DenseMatrix global(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix sharded(fx.graph.numVertices(), fx.input.cols());
     aggregateBasic(fx.graph, fx.input, global, fx.spec);
-    aggregateSharded(plan, fx.input, sharded, fx.spec);
+    aggregate(fx.graph, fx.input, sharded, fx.spec, Schedule(plan));
     expectBitEqual(global, sharded);
 }
 
@@ -286,15 +286,15 @@ TEST_P(ShardedParity, FusedForwardMatchesGlobalBitwise)
     DenseMatrix aggS(n, fx.input.cols()), outS(n, fx.weights.cols());
     fusedLayerTraining(fx.graph, fx.input, fx.spec, fx.update(), aggG,
                        outG);
-    fusedLayerTrainingSharded(plan, fx.input, fx.spec, fx.update(), aggS,
-                              outS);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), outS, {&aggS},
+               Schedule(plan));
     expectBitEqual(aggG, aggS);
     expectBitEqual(outG, outS);
 
     DenseMatrix infG(n, fx.weights.cols()), infS(n, fx.weights.cols());
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), infG);
-    fusedLayerInferenceSharded(plan, fx.input, fx.spec, fx.update(),
-                               infS);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), infG);
+    fusedLayer(fx.graph, fx.input, fx.spec, fx.update(), infS, {},
+               Schedule(plan));
     expectBitEqual(infG, infS);
 }
 
@@ -315,7 +315,8 @@ TEST_P(ShardedParity, FusedBackwardMatchesGlobalBitwise)
     weightsNT.pack(GemmMode::NT, fx.weights, Precision::Fp32);
     DenseMatrix gradG(n, fx.input.cols()), gradS(n, fx.input.cols());
     fusedLayerBackward(transposed, dz, tSpec, weightsNT, gradG);
-    fusedLayerBackwardSharded(tPlan, dz, tSpec, weightsNT, gradS);
+    fusedLayerBackward(transposed, dz, tSpec, weightsNT, gradS,
+                       Schedule(tPlan));
     expectBitEqual(gradG, gradS);
 }
 
@@ -329,17 +330,16 @@ TEST_P(ShardedParity, Bf16VariantsMatchGlobalBf16Bitwise)
     inBf16.fromDense(fx.input);
 
     DenseMatrix aggG(n, fx.input.cols()), aggS(n, fx.input.cols());
-    aggregateBf16(fx.graph, inBf16, aggG, fx.spec);
-    aggregateShardedBf16(plan, inBf16, aggS, fx.spec);
+    aggregate(fx.graph, inBf16, aggG, fx.spec);
+    aggregate(fx.graph, inBf16, aggS, fx.spec, Schedule(plan));
     expectBitEqual(aggG, aggS);
 
     DenseMatrix fAggG(n, fx.input.cols()), fOutG(n, fx.weights.cols());
     DenseMatrix fAggS(n, fx.input.cols()), fOutS(n, fx.weights.cols());
     const UpdateOp update = fx.update(Precision::Bf16);
-    fusedLayerTrainingBf16(fx.graph, inBf16, fx.spec, update, fAggG,
-                           fOutG);
-    fusedLayerTrainingShardedBf16(plan, inBf16, fx.spec, update, fAggS,
-                                  fOutS);
+    fusedLayer(fx.graph, inBf16, fx.spec, update, fOutG, {&fAggG});
+    fusedLayer(fx.graph, inBf16, fx.spec, update, fOutS, {&fAggS},
+               Schedule(plan));
     expectBitEqual(fAggG, fAggS);
     expectBitEqual(fOutG, fOutS);
 }
@@ -358,8 +358,9 @@ TEST(DelayedHalo, SumWithinToleranceOfExact)
     PartitionPlan plan = planFor(fx.graph, 4);
     DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregateSharded(plan, fx.input, exact, fx.spec, false);
-    aggregateSharded(plan, fx.input, delayed, fx.spec, true);
+    aggregate(fx.graph, fx.input, exact, fx.spec, Schedule(plan));
+    aggregate(fx.graph, fx.input, delayed, fx.spec,
+              Schedule(plan, true));
     expectNear(exact, delayed, 1e-3f);
 }
 
@@ -371,8 +372,9 @@ TEST(DelayedHalo, MaxReduceStaysExact)
     PartitionPlan plan = planFor(fx.graph, 4);
     DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregateSharded(plan, fx.input, exact, fx.spec, false);
-    aggregateSharded(plan, fx.input, delayed, fx.spec, true);
+    aggregate(fx.graph, fx.input, exact, fx.spec, Schedule(plan));
+    aggregate(fx.graph, fx.input, delayed, fx.spec,
+              Schedule(plan, true));
     expectBitEqual(exact, delayed);
 }
 
@@ -387,12 +389,12 @@ TEST(DelayedHalo, ReducesGatheredBytesAndMatchesEstimate)
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     metrics.setEnabled(true);
     metrics.reset();
-    aggregateSharded(plan, fx.input, out, fx.spec, false);
+    aggregate(fx.graph, fx.input, out, fx.spec, Schedule(plan));
     const std::uint64_t exactBytes =
         metrics.counter("partition.bytes_gathered").value();
 
     metrics.reset();
-    aggregateSharded(plan, fx.input, out, fx.spec, true);
+    aggregate(fx.graph, fx.input, out, fx.spec, Schedule(plan, true));
     const std::uint64_t delayedBytes =
         metrics.counter("partition.bytes_gathered").value();
     const std::uint64_t haloBytes =
@@ -499,8 +501,9 @@ TEST(PartitionPlan, ModelPlanCacheKeepsEntriesAcrossKeys)
 }
 
 // ---------------------------------------------------------------------
-// End to end: shard-major training must reproduce flat training
-// bit-for-bit (exact mode), for fused and unfused techniques.
+// End to end: shard-major training and inference must reproduce flat
+// execution bit-for-bit (exact mode) for every gather source — fp32,
+// bf16 and compressed rows — fused and unfused.
 // ---------------------------------------------------------------------
 
 TEST(ShardedTraining, MatchesFlatTrainingBitwise)
@@ -508,7 +511,13 @@ TEST(ShardedTraining, MatchesFlatTrainingBitwise)
     CsrGraph g = makeTestGraph(0);
     SyntheticTask task = makeSyntheticTask(g, 8, 32, 0.4, 11);
 
-    auto train = [&](std::size_t shards, bool fusion) {
+    struct Run
+    {
+        std::vector<double> losses;
+        std::vector<Feature> weights;
+        std::vector<Feature> logits;
+    };
+    auto train = [&](std::size_t shards, const TechniqueConfig &base) {
         GnnModelConfig config;
         config.featureWidths = {32, 32, 8};
         config.dropoutRate = 0.5;
@@ -516,28 +525,37 @@ TEST(ShardedTraining, MatchesFlatTrainingBitwise)
         TrainerConfig tc;
         tc.epochs = 3;
         tc.learningRate = 0.3f;
-        tc.tech.fusion = fusion;
+        tc.tech = base;
         tc.tech.shards = shards;
         Trainer trainer(model, task.features, task.labels, tc);
-        auto history = trainer.train();
-        std::vector<double> losses;
-        for (const EpochStats &e : history)
-            losses.push_back(e.loss);
-        std::vector<Feature> weights;
-        for (std::size_t k = 0; k < model.numLayers(); ++k) {
-            const DenseMatrix &w = model.layer(k).weights();
-            for (std::size_t r = 0; r < w.rows(); ++r)
-                weights.insert(weights.end(), w.row(r),
-                               w.row(r) + w.cols());
-        }
-        return std::make_pair(losses, weights);
+        Run run;
+        for (const EpochStats &e : trainer.train())
+            run.losses.push_back(e.loss);
+        const auto append = [](std::vector<Feature> &to,
+                               const DenseMatrix &m) {
+            for (std::size_t r = 0; r < m.rows(); ++r)
+                to.insert(to.end(), m.row(r), m.row(r) + m.cols());
+        };
+        for (std::size_t k = 0; k < model.numLayers(); ++k)
+            append(run.weights, model.layer(k).weights());
+        append(run.logits, model.inference(task.features, tc.tech));
+        return run;
     };
 
     for (bool fusion : {false, true}) {
-        const auto flat = train(0, fusion);
-        const auto sharded = train(4, fusion);
-        EXPECT_EQ(flat.first, sharded.first) << "fusion=" << fusion;
-        EXPECT_EQ(flat.second, sharded.second) << "fusion=" << fusion;
+        for (bool compression : {false, true}) {
+            for (Precision precision : {Precision::Fp32, Precision::Bf16}) {
+                TechniqueConfig tech;
+                tech.fusion = fusion;
+                tech.compression = compression;
+                tech.precision = precision;
+                const Run flat = train(0, tech);
+                const Run sharded = train(4, tech);
+                EXPECT_EQ(flat.losses, sharded.losses) << tech.label();
+                EXPECT_EQ(flat.weights, sharded.weights) << tech.label();
+                EXPECT_EQ(flat.logits, sharded.logits) << tech.label();
+            }
+        }
     }
 }
 

@@ -19,6 +19,8 @@
 
 #include "common/alloc_guard.h"
 #include "common/rng.h"
+#include "gnn/minibatch_trainer.h"
+#include "gnn/trainer.h"
 #include "graph/delta_csr.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -414,6 +416,59 @@ TEST(InferenceServer, ServedEmbeddingsBitwiseMatchOfflineReplay)
     EXPECT_EQ(server.stats().requestsServed, 2 * kRequests);
 }
 
+// A mini-batch-trained model (the graphite_serve path: the trainer's
+// SGD writes its layers' weights) served by the consumer thread while
+// another thread replays the same requests through serveOne(). Both
+// read the layers' packed-weight caches concurrently; those must not
+// be repacked once training is over (run this under TSan to check the
+// absence of the data race, too).
+TEST(InferenceServer, TrainedModelServesConcurrentlyWithServeOne)
+{
+    const CsrGraph graph = testGraph();
+    const SyntheticTask task = makeSyntheticTask(graph, 8, 16, 0.3, 5);
+    MiniBatchConfig trainConfig;
+    trainConfig.batchSize = 128;
+    trainConfig.fanouts = {5, 5};
+    MiniBatchTrainer trainer(graph, task.features, task.labels,
+                             {16, 24, 8}, GnnKind::Sage, trainConfig);
+    trainer.trainEpoch();
+
+    ServeConfig config;
+    config.fanouts = trainConfig.fanouts;
+    config.maxBatch = 16;
+    config.latencyBudgetUs = 500;
+    config.hotCacheCapacity = 0; // determinism mode
+    InferenceServer server(graph, task.features, trainer.layerPointers(),
+                           config);
+
+    constexpr std::size_t kRequests = 96;
+    const auto vertexOf = [&](std::size_t i) {
+        return static_cast<VertexId>((i * 53) % graph.numVertices());
+    };
+    DenseMatrix served(kRequests, server.outFeatures());
+    DenseMatrix replayed(kRequests, server.outFeatures());
+    std::thread consumer([&server] { server.run(); });
+    std::thread replayer([&] {
+        for (std::size_t i = 0; i < kRequests; ++i)
+            server.serveOne(i, vertexOf(i), replayed.row(i));
+    });
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        InferenceRequest req = makeRequest(i, vertexOf(i));
+        req.out = served.row(i);
+        while (!server.queue().push(req))
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    server.queue().close();
+    consumer.join();
+    replayer.join();
+
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(0, std::memcmp(served.row(i), replayed.row(i),
+                                 server.outFeatures() * sizeof(Feature)))
+            << "request " << i;
+    }
+}
+
 TEST(InferenceServer, CachedHubsStayWithinBoundedError)
 {
     const CsrGraph graph = testGraph();
@@ -602,28 +657,6 @@ TEST(HotVertexCache, InvalidateDropsRowAndRejectsStaleFills)
     EXPECT_FALSE(cache.invalidate(1234));
     EXPECT_NE(cache.fillEpoch(1234), epoch);
     EXPECT_GE(cache.stats().invalidations, 2u);
-}
-
-TEST(HotVertexCache, PatchMeanRowAppliesExactMeanUpdate)
-{
-    HotVertexCache cache(4, 1, 3, 0);
-    // Cached row = mean of (self + 2 neighbors) => oldDegree = 2.
-    const Feature cached[3] = {3.0f, 6.0f, 9.0f};
-    const Feature added[3] = {7.0f, 11.0f, 1.0f};
-    cache.put(5, cached);
-    const std::uint64_t epoch = cache.fillEpoch(5);
-    EXPECT_TRUE(cache.patchMeanRow(5, added, 2));
-    Feature out[3] = {};
-    ASSERT_TRUE(cache.lookup(5, out));
-    for (std::size_t c = 0; c < 3; ++c) {
-        const float expect = (cached[c] * 3.0f + added[c]) / 4.0f;
-        EXPECT_FLOAT_EQ(out[c], expect);
-    }
-    // The patch bumps the epoch too: a concurrent stale fill must not
-    // overwrite the patched row.
-    EXPECT_FALSE(cache.putIfFresh(5, cached, epoch));
-    // Non-resident vertices are not patched.
-    EXPECT_FALSE(cache.patchMeanRow(99, added, 4));
 }
 
 // ------------------------------------------------------------------
