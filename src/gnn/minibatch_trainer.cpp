@@ -4,6 +4,7 @@
 
 #include "common/assert.h"
 #include "common/timer.h"
+#include "kernels/aggregation.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
 
@@ -33,24 +34,21 @@ MiniBatchTrainer::MiniBatchTrainer(const CsrGraph &graph,
     contexts_.resize(layers_.size());
 }
 
-AggregationSpec
-MiniBatchTrainer::blockSpec(const SampledBlock &block)
+namespace {
+
+/**
+ * GraphSAGE-mean over the sampled neighborhood plus self; GCN-style
+ * symmetric norms are ill-defined on sampled bipartite blocks, so both
+ * kinds use the mean here (as DGL's sampled SAGE does). This is the
+ * factor the forward kernel scales destination @p d's sum by.
+ */
+Feature
+meanFactor(const CsrGraph &block, VertexId d)
 {
-    // GraphSAGE-mean over the sampled neighborhood plus self; GCN-style
-    // symmetric norms are ill-defined on sampled bipartite blocks, so
-    // both kinds use the mean here (as DGL's sampled SAGE does).
-    const CsrGraph &g = block.block;
-    AggregationSpec spec;
-    spec.selfFactors.resize(g.numVertices(), 1.0f);
-    spec.edgeFactors.resize(g.numEdges(), 1.0f);
-    for (VertexId d = 0; d < block.dstVertices.size(); ++d) {
-        const Feature mean = 1.0f / static_cast<Feature>(g.degree(d) + 1);
-        spec.selfFactors[d] = mean;
-        for (EdgeId e = g.rowBegin(d); e < g.rowEnd(d); ++e)
-            spec.edgeFactors[e] = mean;
-    }
-    return spec;
+    return 1.0f / static_cast<Feature>(block.degree(d) + 1);
 }
+
+} // namespace
 
 double
 MiniBatchTrainer::forwardBatch(const MiniBatch &batch,
@@ -72,12 +70,13 @@ MiniBatchTrainer::forwardBatch(const MiniBatch &batch,
             k == 0 ? ctx.input : contexts_[k - 1].output;
         const std::size_t numDst = block.dstVertices.size();
         GnnLayer &layer = *layers_[k];
-        const AggregationSpec spec = blockSpec(block);
+        // Local source j is row j of the input (dst prefixes src).
+        const BlockView view{block.block.rowPtr(), block.block.colIdx(),
+                             {}};
 
         ctx.agg.resize(numDst, layer.inFeatures());
-        for (VertexId d = 0; d < numDst; ++d)
-            aggregateVertex(block.block, input, d, spec,
-                            ctx.agg.row(d));
+        for (std::size_t d = 0; d < numDst; ++d)
+            blockMeanRow(view, input, d, ctx.agg.row(d));
         ctx.output.resize(numDst, layer.outFeatures());
         // Serial packed update over the whole sampled block; the packed
         // weights come from the layer's cache (repacked only after the
@@ -142,10 +141,7 @@ MiniBatchTrainer::backwardBatch(const MiniBatch &batch,
         if (k == 0)
             break;
         // dx over the block's sources: transposed-block aggregation.
-        const AggregationSpec spec = blockSpec(block);
         const CsrGraph transposed = block.block.transposed();
-        const AggregationSpec tSpec =
-            transposeSpec(block.block, spec, transposed);
         // Pad dAgg to |src| rows (source-only rows have zero gradient
         // from edges; self terms only exist for dst rows).
         DenseMatrix dSrc(block.srcVertices.size(), layer.inFeatures());
@@ -155,14 +151,14 @@ MiniBatchTrainer::backwardBatch(const MiniBatch &batch,
             for (EdgeId e = transposed.rowBegin(s);
                  e < transposed.rowEnd(s); ++e) {
                 const VertexId d = transposed.colIdx()[e];
-                const Feature factor = tSpec.edgeFactors[e];
+                const Feature factor = meanFactor(block.block, d);
                 const Feature *src = dAgg.row(d);
                 for (std::size_t c = 0; c < layer.inFeatures(); ++c)
                     dst[c] += factor * src[c];
             }
             // Self term: sources that are also destinations.
             if (s < block.dstVertices.size()) {
-                const Feature factor = spec.selfFactors[s];
+                const Feature factor = meanFactor(block.block, s);
                 const Feature *src = dAgg.row(s);
                 for (std::size_t c = 0; c < layer.inFeatures(); ++c)
                     dst[c] += factor * src[c];

@@ -97,9 +97,6 @@ class MiniBatchTrainer
     double forwardBatch(const MiniBatch &batch, DenseMatrix &lossGrad);
     void backwardBatch(const MiniBatch &batch, DenseMatrix lossGrad);
 
-    /** Aggregation spec of one sampled bipartite block (mean). */
-    static AggregationSpec blockSpec(const SampledBlock &block);
-
     const CsrGraph &graph_;
     const DenseMatrix &features_;
     std::vector<std::int32_t> labels_;

@@ -263,4 +263,27 @@ class DeltaCsr
     Mutex writerMutex_;
 };
 
+inline VertexId
+DeltaCsr::deltaNeighborAt(const RowView &view, std::size_t i) const
+{
+    GRAPHITE_DCHECK(i < view.deltaCount_,
+                    "deltaNeighborAt: index out of range");
+    // Random access restarts from the head; sequential access (the
+    // sampler's pattern) advances the cursor one segment at a time.
+    if (i < view.cursorBase_) {
+        view.cursorSeg_ = view.head_;
+        view.cursorBase_ = 0;
+    }
+    while (i >= view.cursorBase_ + kSegmentEdges) {
+        GRAPHITE_DCHECK(view.cursorSeg_ != kNullSegment,
+                        "deltaNeighborAt: chain shorter than count");
+        view.cursorSeg_ = pool_[view.cursorSeg_].next.load(
+            std::memory_order_acquire);
+        view.cursorBase_ += kSegmentEdges;
+    }
+    GRAPHITE_DCHECK(view.cursorSeg_ != kNullSegment,
+                    "deltaNeighborAt: chain shorter than count");
+    return pool_[view.cursorSeg_].edges[i - view.cursorBase_];
+}
+
 } // namespace graphite

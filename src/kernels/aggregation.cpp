@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "graph/delta_csr.h"
 
 #if defined(__AVX512F__)
 #define GRAPHITE_AGG_AVX512 1
@@ -192,6 +193,153 @@ aggregateVertex(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
     }
 #endif
     aggregateVertexGeneric(graph, in, v, spec, dst);
+}
+
+namespace {
+
+/**
+ * One destination's neighbours in a BlockView, resolved to input rows:
+ * size() and operator[] are all the mean kernels touch, the same shape
+ * as a DeltaCsr::RowView so both instantiate one kernel.
+ */
+struct BlockRow
+{
+    std::size_t
+    size() const
+    {
+        return cols.size();
+    }
+
+    std::size_t
+    operator[](std::size_t e) const
+    {
+        return block.srcRow(cols[e]);
+    }
+
+    const BlockView &block;
+    std::span<const VertexId> cols;
+};
+
+/** The mean's scale, 1/(n + 1) for n neighbours. */
+inline Feature
+meanScale(std::size_t n)
+{
+    return 1.0f / (1.0f + static_cast<Feature>(n));
+}
+
+#if GRAPHITE_AGG_AVX512
+
+/**
+ * Register-resident mean for rows of up to Groups x 16 floats: sum the
+ * self row and every neighbour row in zmm accumulators, scale once,
+ * store in.cols() floats. Loads read whole padded rows (rowStride is a
+ * multiple of 16); only the store is masked.
+ */
+template <int Groups, typename Neighbors>
+void
+meanRowZmm(const DenseMatrix &in, std::size_t self, const Neighbors &nbrs,
+           Feature *dst)
+{
+    __m512 acc[Groups];
+    const Feature *selfRow = in.row(self);
+    for (int g = 0; g < Groups; ++g)
+        acc[g] = _mm512_loadu_ps(selfRow + g * 16);
+    const std::size_t n = nbrs.size();
+    for (std::size_t e = 0; e < n; ++e) {
+        const Feature *src = in.row(nbrs[e]);
+        for (int g = 0; g < Groups; ++g)
+            acc[g] = _mm512_add_ps(acc[g], _mm512_loadu_ps(src + g * 16));
+    }
+    const __m512 scale = _mm512_set1_ps(meanScale(n));
+    for (int g = 0; g + 1 < Groups; ++g)
+        _mm512_storeu_ps(dst + g * 16, _mm512_mul_ps(acc[g], scale));
+    const std::size_t tail = in.cols() - (Groups - 1) * 16;
+    const auto mask = static_cast<__mmask16>((1U << tail) - 1U);
+    _mm512_mask_storeu_ps(dst + (Groups - 1) * 16, mask,
+                          _mm512_mul_ps(acc[Groups - 1], scale));
+}
+
+template <typename Neighbors>
+using MeanKernel = void (*)(const DenseMatrix &, std::size_t,
+                            const Neighbors &, Feature *);
+
+template <typename Neighbors, std::size_t... G>
+constexpr std::array<MeanKernel<Neighbors>, sizeof...(G)>
+meanKernels(std::index_sequence<G...>)
+{
+    return {meanRowZmm<static_cast<int>(G) + 1, Neighbors>...};
+}
+
+/** Mean kernels indexed by Groups - 1, as kZmmSumKernels. */
+template <typename Neighbors>
+constexpr auto kMeanKernels =
+    meanKernels<Neighbors>(std::make_index_sequence<kMaxZmmGroups>{});
+
+#endif // GRAPHITE_AGG_AVX512
+
+/** The same sum-then-scale order at any width. */
+template <typename Neighbors>
+void
+meanRowGeneric(const DenseMatrix &in, std::size_t self,
+               const Neighbors &nbrs, Feature *dst)
+{
+    const std::size_t f = in.cols();
+    const Feature *selfRow = in.row(self);
+    #pragma omp simd
+    for (std::size_t c = 0; c < f; ++c)
+        dst[c] = selfRow[c];
+    const std::size_t n = nbrs.size();
+    for (std::size_t e = 0; e < n; ++e) {
+        const Feature *src = in.row(nbrs[e]);
+        #pragma omp simd
+        for (std::size_t c = 0; c < f; ++c)
+            dst[c] += src[c];
+    }
+    const Feature scale = meanScale(n);
+    #pragma omp simd
+    for (std::size_t c = 0; c < f; ++c)
+        dst[c] *= scale;
+}
+
+template <typename Neighbors>
+void
+meanRow(const DenseMatrix &in, std::size_t self, const Neighbors &nbrs,
+        Feature *dst)
+{
+#if GRAPHITE_AGG_AVX512
+    const std::size_t groups = (in.cols() + 15) / 16;
+    if (groups >= 1 && groups <= kMaxZmmGroups) {
+        kMeanKernels<Neighbors>[groups - 1](in, self, nbrs, dst);
+        return;
+    }
+#endif
+    meanRowGeneric(in, self, nbrs, dst);
+}
+
+} // namespace
+
+void
+blockMeanRow(const BlockView &block, const DenseMatrix &in, std::size_t i,
+             Feature *dst)
+{
+    const BlockRow row{block, block.colIdx.subspan(
+                                  block.rowPtr[i],
+                                  block.rowPtr[i + 1] - block.rowPtr[i])};
+    meanRow(in, block.srcRow(i), row, dst);
+}
+
+void
+fullMeanRow(const CsrGraph &graph, const DenseMatrix &features, VertexId v,
+            Feature *dst)
+{
+    blockMeanRow({graph.rowPtr(), graph.colIdx(), {}}, features, v, dst);
+}
+
+void
+fullMeanRow(const DeltaCsr &graph, const DenseMatrix &features, VertexId v,
+            Feature *dst)
+{
+    meanRow(features, v, graph.neighborsView(v), dst);
 }
 
 void

@@ -28,6 +28,8 @@
 
 namespace graphite {
 
+class DeltaCsr;
+
 /**
  * The element-wise reduction operator ⊕ of Algorithm 1. Sum covers GCN
  * and GraphSAGE-mean (Table 2); Max covers pooling-style aggregators.
@@ -226,8 +228,8 @@ void aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
 
 /**
  * Serial single-vertex aggregation into @p dst (rowStride-padded):
- * the AGGREGATE building block shared by the kernel driver, the DMA
- * functional model and the serving and mini-batch paths.
+ * the AGGREGATE building block of the kernel driver and the DMA
+ * functional model.
  */
 void aggregateVertex(const CsrGraph &graph, const DenseMatrix &in,
                      VertexId v, const AggregationSpec &spec, Feature *dst);
@@ -243,6 +245,62 @@ void aggregateVertex(const CsrGraph &graph, const DenseMatrix &in,
 void aggregateVertexBf16(const CsrGraph &graph, const Bf16Matrix &in,
                          VertexId v, const AggregationSpec &spec,
                          Feature *dst, std::size_t width);
+
+/**
+ * A bipartite block as flat spans — DGL's message-flow-graph layout.
+ * Destination i's neighbours are the local source indices
+ * colIdx[rowPtr[i], rowPtr[i+1]); destinations prefix the sources, so
+ * destination i's self term is local source i. Local source j reads
+ * input row rowBase + srcRows[j], or rowBase + j when srcRows is empty.
+ * A whole CsrGraph is the block with identity rows and rowBase 0.
+ */
+struct BlockView
+{
+    std::span<const EdgeId> rowPtr;
+    std::span<const VertexId> colIdx;
+    /** Input row of each local source index, or empty for identity. */
+    std::span<const VertexId> srcRows;
+    /** Offset added to every input row. */
+    std::size_t rowBase = 0;
+
+    /** Input row of local source @p j. */
+    std::size_t
+    srcRow(std::size_t j) const
+    {
+        return rowBase + (srcRows.empty() ? j : srcRows[j]);
+    }
+};
+
+/**
+ * Serial, pool-free sampled-mean row over @p block:
+ *
+ *   dst = (in[self(i)] + Σ_e in[src(colIdx[e])]) · 1/(n + 1)
+ *
+ * with n the row's neighbour count. Neighbours are added in row order
+ * and the sum is scaled last, in plain fp32, so the result is bitwise
+ * equal to that scalar loop. On AVX-512 builds the accumulator stays in
+ * zmm registers for rows up to 256 floats; wider rows and other builds
+ * run a vectorisable loop in the same order. Writes exactly in.cols()
+ * floats of @p dst.
+ */
+void blockMeanRow(const BlockView &block, const DenseMatrix &in,
+                  std::size_t i, Feature *dst);
+
+/**
+ * blockMeanRow over @p v's full neighbourhood in @p graph: the exact
+ * SAGE-mean the hot-vertex cache stores for a hub (DESIGN.md §13).
+ */
+void fullMeanRow(const CsrGraph &graph, const DenseMatrix &features,
+                 VertexId v, Feature *dst);
+
+/**
+ * fullMeanRow over a DeltaCsr overlay: the base row, then the delta
+ * chain in insertion order, through the same kernel — so an overlay
+ * holding zero deltas gives bitwise the row of its base. Wait-free
+ * against concurrent addEdge(): the delta count is snapshotted once.
+ */
+void fullMeanRow(const DeltaCsr &graph, const DenseMatrix &features,
+                 VertexId v, Feature *dst);
 
 /** Reference scalar implementation used as the test oracle. */
 void aggregateReference(const CsrGraph &graph, const DenseMatrix &in,

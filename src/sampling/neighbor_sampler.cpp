@@ -15,7 +15,7 @@ namespace {
  * Indexable neighbor row of @p v for the shared sampling core: a span
  * for CsrGraph, a snapshot RowView (base row then delta chain) for
  * DeltaCsr. Both offer size() and O(1)-amortized sequential
- * operator[], which is all the reservoir loop touches.
+ * operator[], which is all sampleNeighbors touches.
  * @{
  */
 inline std::span<const VertexId>
@@ -32,6 +32,42 @@ neighborRowOf(const DeltaCsr &graph, VertexId v)
 /** @} */
 
 /**
+ * Draw min(@p fanout, |row|) distinct neighbors of @p row uniformly at
+ * random into picked[0, n) and return n. A row no longer than the
+ * fanout is taken whole without touching @p rng. Otherwise Floyd's
+ * algorithm draws a uniform fanout-subset of row positions with
+ * exactly @p fanout uniformInt calls — O(fanout), not O(|row|) as a
+ * reservoir pass would be. The positions are sorted before the row is
+ * read, so neighbors come out in row order and a DeltaCsr::RowView
+ * walks its delta chain on the sequential cursor. @p picked must hold
+ * at least @p fanout entries.
+ */
+template <typename Row>
+std::size_t
+sampleNeighbors(const Row &row, VertexId fanout, Rng &rng,
+                VertexId *picked)
+{
+    const std::size_t degree = row.size();
+    if (degree <= fanout) {
+        for (std::size_t j = 0; j < degree; ++j)
+            picked[j] = row[j];
+        return degree;
+    }
+    // Floyd: position j joins as itself when the draw from [0, j] hit
+    // a position already taken (which j cannot be), else as the draw.
+    for (std::size_t j = degree - fanout, n = 0; j < degree; ++j, ++n) {
+        const auto draw = static_cast<VertexId>(rng.uniformInt(j + 1));
+        const bool taken = std::find(picked, picked + n, draw) !=
+                           picked + n;
+        picked[n] = taken ? static_cast<VertexId>(j) : draw;
+    }
+    std::sort(picked, picked + fanout);
+    for (std::size_t j = 0; j < fanout; ++j)
+        picked[j] = row[picked[j]];
+    return fanout;
+}
+
+/**
  * Sample one bipartite block: destinations @p dst, per-destination up to
  * @p fanout sampled neighbors, compact source indexing.
  */
@@ -46,40 +82,32 @@ sampleBlock(const CsrGraph &graph, std::vector<VertexId> dst,
     localIndex.reserve(dst.size() * (fanout + 1));
     out.srcVertices.reserve(dst.size() * (fanout + 1));
     for (VertexId v : dst) {
+        // graphite-lint: allow(alloc) mini-batch block build, off the
+        // serving path; reserved above.
         localIndex.emplace(v, static_cast<VertexId>(
             out.srcVertices.size()));
+        // graphite-lint: allow(alloc) reserved above.
         out.srcVertices.push_back(v);
     }
 
     std::vector<EdgeId> rowPtr(dst.size() + 1, 0);
     std::vector<VertexId> colIdx;
     colIdx.reserve(dst.size() * fanout);
-    std::vector<VertexId> reservoir(fanout);
+    std::vector<VertexId> picked(fanout);
     for (std::size_t i = 0; i < dst.size(); ++i) {
-        const VertexId v = dst[i];
-        const auto neighbors = graph.neighbors(v);
-        std::size_t sampled = 0;
-        if (neighbors.size() <= fanout) {
-            for (VertexId u : neighbors)
-                reservoir[sampled++] = u;
-        } else {
-            // Reservoir sampling of `fanout` neighbors without
-            // replacement.
-            for (std::size_t j = 0; j < fanout; ++j)
-                reservoir[j] = neighbors[j];
-            sampled = fanout;
-            for (std::size_t j = fanout; j < neighbors.size(); ++j) {
-                const std::size_t slot = rng.uniformInt(j + 1);
-                if (slot < fanout)
-                    reservoir[slot] = neighbors[j];
-            }
-        }
+        const std::size_t sampled = sampleNeighbors(
+            graph.neighbors(dst[i]), fanout, rng, picked.data());
         for (std::size_t j = 0; j < sampled; ++j) {
-            const VertexId u = reservoir[j];
+            const VertexId u = picked[j];
+            // graphite-lint: allow(alloc) mini-batch block build, off
+            // the serving path; reserved above.
             auto [it, inserted] = localIndex.emplace(
                 u, static_cast<VertexId>(out.srcVertices.size()));
-            if (inserted)
+            if (inserted) {
+                // graphite-lint: allow(alloc) reserved above.
                 out.srcVertices.push_back(u);
+            }
+            // graphite-lint: allow(alloc) reserved above.
             colIdx.push_back(it->second);
         }
         rowPtr[i + 1] = colIdx.size();
@@ -157,12 +185,17 @@ SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
         block.rowPtr.clear();
         block.colIdx.clear();
         block.srcVertices.clear();
+        // Every vector below only grows into capacity it keeps: the
+        // server reserves worst-case sizes up front (makeScratch), so
+        // the waived calls never allocate after warm-up.
         if (k + 1 == fanouts.size()) {
             block.dstVertices.clear();
+            // graphite-lint: allow(alloc) grow-only, reserved by caller.
             block.dstVertices.push_back(seed);
         } else {
             const std::vector<VertexId> &outerSrc =
                 tree.blocks[k + 1].srcVertices;
+            // graphite-lint: allow(alloc) grow-only, reserved by caller.
             block.dstVertices.assign(outerSrc.begin(), outerSrc.end());
         }
 
@@ -172,44 +205,38 @@ SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
             scratch.stamp_[v] = scratch.epoch_;
             scratch.local_[v] =
                 static_cast<VertexId>(block.srcVertices.size());
+            // graphite-lint: allow(alloc) grow-only, reserved by caller.
             block.srcVertices.push_back(v);
         }
 
         const VertexId fanout = fanouts[k];
-        if (scratch.reservoir_.size() < fanout)
-            scratch.reservoir_.resize(fanout);
-        VertexId *const reservoir = scratch.reservoir_.data();
+        if (scratch.picked_.size() < fanout) {
+            // graphite-lint: allow(alloc) grows to the largest fanout
+            // once, on the first request.
+            scratch.picked_.resize(fanout);
+        }
+        VertexId *const picked = scratch.picked_.data();
 
+        // graphite-lint: allow(alloc) grow-only, reserved by caller.
         block.rowPtr.push_back(0);
         for (const VertexId v : block.dstVertices) {
-            const auto neighbors = neighborRowOf(graph, v);
-            std::size_t sampled = 0;
-            if (neighbors.size() <= fanout) {
-                for (std::size_t j = 0; j < neighbors.size(); ++j)
-                    reservoir[sampled++] = neighbors[j];
-            } else {
-                // Reservoir sampling of `fanout` neighbors without
-                // replacement — identical draw order to sampleBlock so
-                // the two paths stay statistically interchangeable.
-                for (std::size_t j = 0; j < fanout; ++j)
-                    reservoir[j] = neighbors[j];
-                sampled = fanout;
-                for (std::size_t j = fanout; j < neighbors.size(); ++j) {
-                    const std::size_t slot = rng.uniformInt(j + 1);
-                    if (slot < fanout)
-                        reservoir[slot] = neighbors[j];
-                }
-            }
+            const std::size_t sampled =
+                sampleNeighbors(neighborRowOf(graph, v), fanout, rng, picked);
             for (std::size_t j = 0; j < sampled; ++j) {
-                const VertexId u = reservoir[j];
+                const VertexId u = picked[j];
                 if (scratch.stamp_[u] != scratch.epoch_) {
                     scratch.stamp_[u] = scratch.epoch_;
                     scratch.local_[u] =
                         static_cast<VertexId>(block.srcVertices.size());
+                    // graphite-lint: allow(alloc) grow-only, reserved
+                    // by caller.
                     block.srcVertices.push_back(u);
                 }
+                // graphite-lint: allow(alloc) grow-only, reserved by
+                // caller.
                 block.colIdx.push_back(scratch.local_[u]);
             }
+            // graphite-lint: allow(alloc) grow-only, reserved by caller.
             block.rowPtr.push_back(
                 static_cast<EdgeId>(block.colIdx.size()));
         }
@@ -246,6 +273,8 @@ makeEpochBatches(const CsrGraph &graph, std::size_t batchSize, Rng &rng)
     std::vector<std::vector<VertexId>> batches;
     for (std::size_t begin = 0; begin < all.size(); begin += batchSize) {
         const std::size_t end = std::min(begin + batchSize, all.size());
+        // graphite-lint: allow(alloc) mini-batch epoch setup, once per
+        // epoch, off the serving path.
         batches.emplace_back(all.begin() + begin, all.begin() + end);
     }
     return batches;

@@ -161,16 +161,18 @@ class SamplerScratch
     std::vector<VertexId> local_;      ///< local index, valid iff stamped
     std::vector<std::uint32_t> stamp_; ///< epoch that wrote local_[v]
     std::uint32_t epoch_ = 0;
-    std::vector<VertexId> reservoir_;  ///< per-destination sample buffer
+    std::vector<VertexId> picked_;     ///< per-destination sample buffer
 };
 
 /**
  * SAMPLE_k for a single seed vertex into reusable flat blocks: the
  * serving-path analogue of sampleMiniBatch. Layer K's destination set
  * is {seed}; each layer's source set is its destination set plus up to
- * fanouts[k] reservoir-sampled neighbors per destination. @p tree's
- * vectors are clear()ed and refilled, retaining capacity, so a warmed
- * tree+scratch pair samples with zero heap allocations.
+ * fanouts[k] neighbors per destination, a uniform random subset drawn
+ * with one RNG call per sampled neighbor (Floyd's algorithm) and kept
+ * in row order. @p tree's vectors are clear()ed and refilled, retaining
+ * capacity, so a warmed tree+scratch pair samples with zero heap
+ * allocations.
  */
 void sampleTree(const CsrGraph &graph, VertexId seed,
                 std::span<const VertexId> fanouts, Rng &rng,
@@ -178,11 +180,12 @@ void sampleTree(const CsrGraph &graph, VertexId seed,
 
 /**
  * sampleTree over a delta-CSR overlay: neighbor lists are the base row
- * followed by published delta edges. The reservoir draw sequence is
- * identical to the CsrGraph overload given the same neighbor sequence,
- * so a vertex with no delta edges samples the exact same tree as it
- * would on the base graph — which is what makes an overlay holding
- * zero deltas bitwise-interchangeable with its base.
+ * followed by published delta edges. Both overloads share one draw
+ * routine over row positions, so given the same neighbor sequence they
+ * make the same draws and sample the same tree: a vertex with no delta
+ * edges samples exactly what it would on the base graph, which is what
+ * makes an overlay holding zero deltas bitwise-interchangeable with its
+ * base.
  */
 void sampleTree(const DeltaCsr &graph, VertexId seed,
                 std::span<const VertexId> fanouts, Rng &rng,

@@ -5,7 +5,7 @@
 #include <functional>
 
 #include "common/assert.h"
-#include "kernels/overlay_gather.h"
+#include "kernels/aggregation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm.h"
@@ -283,7 +283,13 @@ InferenceServer::forwardBatch(ForwardScratch &scratch, std::size_t n,
         for (std::size_t r = 0; r < n; ++r) {
             const FlatBlock &block = scratch.trees[r].blocks[k];
             const std::size_t numDst = block.dstVertices.size();
-            const std::size_t srcBase = k > 0 ? prevOff[r] : 0;
+            // Layer 0 reads feature rows by global id; layer k > 0 reads
+            // request r's slice of the previous layer's output, where
+            // local source j is row prevOff[r] + j (dst prefixes src).
+            const BlockView view =
+                k > 0 ? BlockView{block.rowPtr, block.colIdx, {}, prevOff[r]}
+                      : BlockView{block.rowPtr, block.colIdx,
+                                  block.srcVertices, 0};
             for (std::size_t i = 0; i < numDst; ++i) {
                 Feature *dstRow = agg.row(off[r] + i);
                 if (k == 0 && hubExact) {
@@ -310,30 +316,11 @@ InferenceServer::forwardBatch(ForwardScratch &scratch, std::size_t n,
                         continue;
                     }
                 }
-                // Sampled SAGE-mean: self row plus sampled neighbors,
-                // scaled by 1/(fan-in + 1). Local source index i is
-                // the destination's own row (dst set prefixes src).
-                const Feature *selfRow =
-                    k > 0 ? src.row(srcBase + i)
-                          : src.row(block.srcVertices[i]);
-                for (std::size_t c = 0; c < inF; ++c)
-                    dstRow[c] = selfRow[c];
-                const EdgeId rowBegin = block.rowPtr[i];
-                const EdgeId rowEnd = block.rowPtr[i + 1];
-                for (EdgeId e = rowBegin; e < rowEnd; ++e) {
-                    const std::size_t j = block.colIdx[e];
-                    const Feature *neighborRow =
-                        k > 0 ? src.row(srcBase + j)
-                              : src.row(block.srcVertices[j]);
-                    for (std::size_t c = 0; c < inF; ++c)
-                        dstRow[c] += neighborRow[c];
-                }
-                const float scale =
-                    1.0f /
-                    (1.0f + static_cast<float>(rowEnd - rowBegin));
-                for (std::size_t c = 0; c < inF; ++c)
-                    dstRow[c] *= scale;
-                bytes += (1 + rowEnd - rowBegin) * srcRowBytes;
+                // Sampled SAGE-mean: self row plus sampled neighbours,
+                // scaled by 1/(fan-in + 1).
+                blockMeanRow(view, src, i, dstRow);
+                bytes += (1 + block.rowPtr[i + 1] - block.rowPtr[i]) *
+                         srcRowBytes;
             }
         }
 

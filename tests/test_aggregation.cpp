@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "compress/compressed_matrix.h"
+#include "graph/delta_csr.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
@@ -242,6 +244,109 @@ TEST(Aggregation, ValidateSpecCatchesFactorLengthMismatch)
     AggregationSpec shortSelf = gcnSpec(g);
     shortSelf.selfFactors.pop_back();
     EXPECT_NE(validateSpec(shortSelf, g), nullptr);
+}
+
+// ------------------------------------------------------------------
+// Block-mean kernel (serving and mini-batch gathers)
+// ------------------------------------------------------------------
+
+/** Scalar oracle: self + neighbours in row order, scaled last. */
+std::vector<Feature>
+referenceMean(const DenseMatrix &in, std::size_t self,
+              const std::vector<std::size_t> &rows)
+{
+    std::vector<Feature> out(in.row(self), in.row(self) + in.cols());
+    for (const std::size_t r : rows)
+        for (std::size_t c = 0; c < in.cols(); ++c)
+            out[c] += in.row(r)[c];
+    const Feature scale = 1.0f / (1.0f + static_cast<Feature>(rows.size()));
+    for (Feature &value : out)
+        value *= scale;
+    return out;
+}
+
+class BlockMeanWidth : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(BlockMeanWidth, BitwiseMatchesScalarSumThenScale)
+{
+    const std::size_t width = GetParam();
+    DenseMatrix in(90, width);
+    in.fillUniform(-1.0f, 1.0f, 17 + width);
+    // Four destinations over seven local sources; row 2 is empty.
+    const std::vector<EdgeId> rowPtr = {0, 3, 9, 9, 12};
+    const std::vector<VertexId> colIdx = {4, 1, 6, 0, 5, 5,
+                                          2, 3, 6, 6, 4, 0};
+    const std::vector<VertexId> srcRows = {7, 81, 3, 40, 12, 66, 29};
+    const std::size_t rowBase = 2;
+    for (const bool mapped : {true, false}) {
+        BlockView view{rowPtr, colIdx, {}, rowBase};
+        if (mapped)
+            view.srcRows = srcRows;
+        const auto rowOf = [&](std::size_t j) {
+            return rowBase + (mapped ? srcRows[j] : j);
+        };
+        for (std::size_t i = 0; i + 1 < rowPtr.size(); ++i) {
+            std::vector<std::size_t> rows;
+            for (EdgeId e = rowPtr[i]; e < rowPtr[i + 1]; ++e)
+                rows.push_back(rowOf(colIdx[e]));
+            const std::vector<Feature> expect =
+                referenceMean(in, rowOf(i), rows);
+            // A sentinel past the row proves exactly width floats land.
+            std::vector<Feature> got(width + 1, 42.0f);
+            blockMeanRow(view, in, i, got.data());
+            EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                                  width * sizeof(Feature)),
+                      0)
+                << "width " << width << " dst " << i;
+            EXPECT_EQ(got[width], 42.0f) << "wrote past the row";
+        }
+    }
+}
+
+// 8/100 take a masked zmm tail, 128/256 full zmm groups, 272 the
+// portable fallback (wider than the zmm table).
+INSTANTIATE_TEST_SUITE_P(Widths, BlockMeanWidth,
+                         ::testing::Values(8, 100, 128, 256, 272));
+
+TEST(BlockMean, FullMeanRowOverZeroDeltaOverlayMatchesBase)
+{
+    const CsrGraph base = generateBarabasiAlbert(200, 5, 23);
+    DeltaCsr overlay(generateBarabasiAlbert(200, 5, 23), 16);
+    DenseMatrix features(base.numVertices(), 100);
+    features.fillUniform(-1.0f, 1.0f, 24);
+    std::vector<Feature> a(features.cols());
+    std::vector<Feature> b(features.cols());
+    for (VertexId v = 0; v < base.numVertices(); ++v) {
+        fullMeanRow(base, features, v, a.data());
+        fullMeanRow(overlay, features, v, b.data());
+        ASSERT_EQ(std::memcmp(a.data(), b.data(),
+                              a.size() * sizeof(Feature)),
+                  0)
+            << "vertex " << v;
+    }
+}
+
+TEST(BlockMean, FullMeanRowFoldsDeltaChainAfterBaseRow)
+{
+    const CsrGraph base = generateBarabasiAlbert(64, 3, 25);
+    DeltaCsr overlay(generateBarabasiAlbert(64, 3, 25), 64);
+    std::vector<std::size_t> rows(base.neighbors(5).begin(),
+                                  base.neighbors(5).end());
+    // Twenty inserts span three delta segments.
+    for (VertexId u = 63; rows.size() < base.degree(5) + 20; --u) {
+        if (overlay.addEdge(5, u) == DeltaCsr::AddEdge::Added)
+            rows.push_back(u);
+    }
+    DenseMatrix features(base.numVertices(), 40);
+    features.fillUniform(-1.0f, 1.0f, 26);
+    const std::vector<Feature> expect = referenceMean(features, 5, rows);
+    std::vector<Feature> got(features.cols());
+    fullMeanRow(overlay, features, 5, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                          got.size() * sizeof(Feature)),
+              0);
 }
 
 } // namespace

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
+#include "graph/delta_csr.h"
 #include "graph/generators.h"
 #include "sampling/neighbor_sampler.h"
 
@@ -179,6 +181,112 @@ TEST(Sampler, RequestSeedDecorrelatesAdjacentIds)
         differingBits += static_cast<int>((diff >> b) & 1u);
     EXPECT_GE(differingBits, 16);
     EXPECT_EQ(requestSeed(100), requestSeed(100));
+}
+
+/** Vertex 0 points at vertices 1..leaves; the leaves have no edges. */
+CsrGraph
+starGraph(VertexId leaves)
+{
+    std::vector<EdgeId> rowPtr(leaves + 2, leaves);
+    rowPtr[0] = 0;
+    std::vector<VertexId> colIdx(leaves);
+    for (VertexId u = 0; u < leaves; ++u)
+        colIdx[u] = u + 1;
+    return CsrGraph(std::move(rowPtr), std::move(colIdx));
+}
+
+TEST(Sampler, TreeDrawsOncePerSampledNeighbor)
+{
+    // Sampling is O(fanout): a 10,000-neighbor hub costs ten draws.
+    const CsrGraph g = starGraph(10000);
+    const std::vector<VertexId> fanouts = {10};
+    SamplerScratch scratch(g.numVertices());
+    SampledTree tree;
+    Rng rng(123);
+    Rng expected(123);
+    sampleTree(g, 0, fanouts, rng, scratch, tree);
+    for (int i = 0; i < 10; ++i)
+        expected.next();
+    EXPECT_EQ(rng.next(), expected.next());
+    EXPECT_EQ(tree.blocks[0].colIdx.size(), 10u);
+
+    // A row no longer than the fanout is taken whole, drawing nothing.
+    const CsrGraph small = starGraph(10);
+    SamplerScratch smallScratch(small.numVertices());
+    Rng untouched(7);
+    sampleTree(small, 0, fanouts, untouched, smallScratch, tree);
+    EXPECT_EQ(untouched.next(), Rng(7).next());
+}
+
+TEST(Sampler, TreePicksAreUniformAndDistinct)
+{
+    constexpr VertexId kDegree = 50;
+    constexpr VertexId kFanout = 10;
+    constexpr int kTrees = 20000;
+    const CsrGraph g = starGraph(kDegree);
+    const std::vector<VertexId> fanouts = {kFanout};
+    SamplerScratch scratch(g.numVertices());
+    SampledTree tree;
+    Rng rng(2024);
+    std::vector<int> picks(kDegree + 1, 0);
+    for (int t = 0; t < kTrees; ++t) {
+        sampleTree(g, 0, fanouts, rng, scratch, tree);
+        const FlatBlock &block = tree.blocks[0];
+        ASSERT_EQ(block.colIdx.size(), kFanout);
+        std::set<VertexId> seen;
+        for (const VertexId col : block.colIdx) {
+            const VertexId u = block.srcVertices[col];
+            ASSERT_TRUE(seen.insert(u).second) << "repeated pick " << u;
+            ++picks[u];
+        }
+    }
+    const double p = static_cast<double>(kFanout) / kDegree;
+    const double mean = kTrees * p;
+    const double sigma = std::sqrt(kTrees * p * (1.0 - p));
+    for (VertexId u = 1; u <= kDegree; ++u)
+        EXPECT_NEAR(picks[u], mean, 5.0 * sigma) << "neighbor " << u;
+}
+
+TEST(Sampler, OverlayDeltaPicksMatchConcatenatedCsr)
+{
+    // Vertex 0 has three base neighbors and thirty delta neighbors
+    // inserted in descending order, so most drawn positions land in
+    // the delta chain. A CSR listing the same row base-then-delta must
+    // sample the identical tree.
+    constexpr VertexId kN = 64;
+    const std::vector<VertexId> baseRow = {1, 2, 3};
+    std::vector<EdgeId> baseRowPtr(kN + 1, baseRow.size());
+    baseRowPtr[0] = 0;
+    DeltaCsr overlay(CsrGraph(baseRowPtr, baseRow), 64);
+    std::vector<VertexId> fullRow = baseRow;
+    for (VertexId u = kN - 1; u > kN - 31; --u) {
+        ASSERT_EQ(overlay.addEdge(0, u), DeltaCsr::AddEdge::Added);
+        fullRow.push_back(u);
+    }
+    std::vector<EdgeId> fullRowPtr(kN + 1, fullRow.size());
+    fullRowPtr[0] = 0;
+    const CsrGraph flat(fullRowPtr, fullRow);
+
+    const std::vector<VertexId> fanouts = {8};
+    SamplerScratch scratchA(kN);
+    SamplerScratch scratchB(kN);
+    SampledTree fromOverlay;
+    SampledTree fromCsr;
+    std::size_t deltaPicks = 0;
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        Rng rngA(seed);
+        Rng rngB(seed);
+        sampleTree(overlay, 0, fanouts, rngA, scratchA, fromOverlay);
+        sampleTree(flat, 0, fanouts, rngB, scratchB, fromCsr);
+        const FlatBlock &a = fromOverlay.blocks[0];
+        const FlatBlock &b = fromCsr.blocks[0];
+        EXPECT_EQ(a.rowPtr, b.rowPtr);
+        EXPECT_EQ(a.colIdx, b.colIdx);
+        EXPECT_EQ(a.srcVertices, b.srcVertices);
+        for (const VertexId col : a.colIdx)
+            deltaPicks += a.srcVertices[col] > 3 ? 1 : 0;
+    }
+    EXPECT_GT(deltaPicks, 0u) << "no draw reached the delta chain";
 }
 
 } // namespace

@@ -526,8 +526,12 @@ TEST(InferenceServer, CacheReducesGatherTraffic)
     TestModel modelOn(16);
     TestModel modelOff(16);
 
+    // Each hub's first fill gathers its whole neighborhood, so caching
+    // pays only once hits amortise the fills. At 1024 requests over 24
+    // seeds it won for each of 40 request-id offsets tried; at 256 it
+    // lost for most of them, so the outcome rode on the sampled trees.
     const auto runWorkload = [&graph](InferenceServer &server) {
-        constexpr std::size_t kRequests = 256;
+        constexpr std::size_t kRequests = 1024;
         std::thread consumer([&server] { server.run(); });
         for (std::size_t i = 0; i < kRequests; ++i) {
             InferenceRequest req = makeRequest(
