@@ -2,9 +2,10 @@
  * @file
  * Deterministic, fast pseudo-random number generation.
  *
- * All stochastic pieces of the library (graph generators, dropout, feature
- * sparsification, sampling) draw from this RNG so that experiments are
- * reproducible from a single seed.
+ * All stochastic pieces of the library (graph generators, feature
+ * sparsification, sampling) draw from this RNG, and dropout hashes
+ * through its splitmix64, so that experiments are reproducible from a
+ * single seed.
  */
 
 #pragma once
@@ -14,8 +15,21 @@
 namespace graphite {
 
 /**
- * xoshiro256** generator seeded via splitmix64. Fast enough to sit inside
- * the dropout inner loop, with 256 bits of state.
+ * splitmix64's output function at @p x: a bijective 64-bit mix with
+ * full avalanche. Seeds Rng, and serves as the repo's integer hash
+ * (request seeds, hash partitioning, hot-cache slots, dropout row keys).
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * xoshiro256** generator seeded via splitmix64, with 256 bits of state.
  */
 class Rng
 {
@@ -26,11 +40,8 @@ class Rng
         // splitmix64 expansion of the seed into the four state words.
         std::uint64_t x = seed;
         for (auto &word : state_) {
+            word = splitmix64(x);
             x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
         }
     }
 

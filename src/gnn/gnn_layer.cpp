@@ -175,7 +175,8 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                           const Bf16Matrix *inBf16, LayerContext &ctx,
                           std::span<const VertexId> order,
                           const PartitionPlan *plan,
-                          const TechniqueConfig &tech) const
+                          const TechniqueConfig &tech,
+                          bool packOutput) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
     const VertexId n = graph.numVertices();
@@ -183,14 +184,15 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
         ctx.agg.resize(n, inFeatures_);
     if (ctx.output.rows() != n || ctx.output.cols() != outFeatures_)
         ctx.output.resize(n, outFeatures_);
-    ctx.hasCompressed = tech.compression;
+    ctx.hasCompressed = tech.compression && packOutput;
     CompressedMatrix *outCompressed = nullptr;
     if (tech.compression) {
         if (ctx.outputCompressed.rows() != n ||
             ctx.outputCompressed.cols() != outFeatures_) {
             ctx.outputCompressed = CompressedMatrix(n, outFeatures_);
         }
-        outCompressed = &ctx.outputCompressed;
+        if (packOutput)
+            outCompressed = &ctx.outputCompressed;
     }
     const FeatureRows rows = gatherRows(in, inCompressed, inBf16, tech);
     forward(graph, spec, rows, &ctx.agg, ctx.output, outCompressed, nullptr,

@@ -134,10 +134,14 @@ class GnnLayer
                           const TechniqueConfig &tech) const;
 
     /**
-     * Training forward: fills @p ctx with a^k and h^k (and the packed
-     * copy when compression is on); inputs and @p plan as in
-     * forwardInference. ctx.outputBf16 is the *model's* responsibility
-     * (conversion must happen after inter-layer dropout).
+     * Training forward: fills @p ctx with a^k and h^k; inputs and
+     * @p plan as in forwardInference. With compression on,
+     * ctx.outputCompressed is sized to h^k, and @p packOutput packs h^k
+     * into it in the fused sink (setting ctx.hasCompressed). GnnModel
+     * passes false where no layer reads the packed rows (the logits) or
+     * where they would be stale (inter-layer dropout follows; the model
+     * packs once after it). ctx.outputBf16 is the *model's*
+     * responsibility for the same reason.
      */
     void forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                          const DenseMatrix &in,
@@ -145,7 +149,8 @@ class GnnLayer
                          const Bf16Matrix *inBf16, LayerContext &ctx,
                          std::span<const VertexId> order,
                          const PartitionPlan *plan,
-                         const TechniqueConfig &tech) const;
+                         const TechniqueConfig &tech,
+                         bool packOutput = true) const;
 
     /**
      * Backward pass. Consumes dL/dh^k in @p gradOut (clobbered), fills

@@ -207,25 +207,31 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
                                    ? &contexts_[k - 1].outputBf16
                                    : nullptr);
         }
-        layers_[k]->forwardTraining(*graph_, spec_, in, inPacked, inBf16,
-                                    contexts_[k], order, plan, tech);
-        // Inter-layer dropout on hidden activations; the packed copy is
-        // rebuilt afterwards so the next layer sees the post-dropout
+        // Hidden activations are packed once for the next layer's
+        // gathers: in the fused sink, or — when inter-layer dropout
+        // follows — after it, so the next layer sees the post-dropout
         // sparsity (which is exactly what makes compression pay off in
-        // training — paper Section 2.2).
-        if (k + 1 < layers_.size() && config_.dropoutRate > 0.0) {
+        // training — paper Section 2.2). The logits are never packed.
+        const bool hidden = k + 1 < layers_.size();
+        const bool dropout = hidden && config_.dropoutRate > 0.0;
+        layers_[k]->forwardTraining(*graph_, spec_, in, inPacked, inBf16,
+                                    contexts_[k], order, plan, tech,
+                                    hidden && !dropout);
+        if (dropout) {
             dropoutForward(contexts_[k].output, config_.dropoutRate,
                            config_.seed * 1315423911ull + dropoutEpoch_ +
                                k * 2654435761ull,
                            dropoutMasks_[k]);
-            if (contexts_[k].hasCompressed)
+            if (tech.compression) {
                 contexts_[k].outputCompressed.compressFrom(
                     contexts_[k].output);
+                contexts_[k].hasCompressed = true;
+            }
         }
         // Bf16 copies are made *after* dropout so the next layer's
         // half-width gathers see the post-dropout activations (same
-        // reasoning as the compressed rebuild above).
-        contexts_[k].hasBf16 = bf16Flow && k + 1 < layers_.size();
+        // reasoning as the packed copy above).
+        contexts_[k].hasBf16 = bf16Flow && hidden;
         if (contexts_[k].hasBf16) {
             contexts_[k].outputBf16.reshape(contexts_[k].output.rows(),
                                             layers_[k]->outFeatures());

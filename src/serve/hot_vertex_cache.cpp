@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "graph/csr_graph.h"
 #include "graph/delta_csr.h"
 #include "obs/metrics.h"
@@ -17,11 +18,7 @@ namespace {
 std::uint64_t
 mixHash(VertexId v)
 {
-    std::uint64_t z = static_cast<std::uint64_t>(v) +
-                      0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix64(static_cast<std::uint64_t>(v));
 }
 
 std::size_t

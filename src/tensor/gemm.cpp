@@ -442,12 +442,12 @@ microDispatchBf16(bool native, std::size_t rows, const std::uint32_t *ap,
 /**
  * Pack row-major A rows into MR-wide k-pair panels, rounding to bf16:
  * word (kp, i) pairs elements (2kp, 2kp+1) of row i, odd tails and
- * missing rows zero-padded. Mirrors packARowMajor's panel walk.
+ * missing rows zero-padded. The bf16 overload of packARowMajor, walking
+ * the same panels.
  */
 void
-packARowMajorBf16(const Feature *aBase, std::size_t aStride,
-                  std::size_t mLen, std::size_t k0, std::size_t kcLen,
-                  std::uint32_t *ap)
+packARowMajor(const Feature *aBase, std::size_t aStride, std::size_t mLen,
+              std::size_t k0, std::size_t kcLen, std::uint32_t *ap)
 {
     const std::size_t pairs = (kcLen + 1) / 2;
     for (std::size_t ip = 0; ip * kGemmMR < mLen; ++ip) {
@@ -471,10 +471,10 @@ packARowMajorBf16(const Feature *aBase, std::size_t aStride,
     }
 }
 
-/** Bf16 A-pair packing for TN mode (effective A(m, k) = a(k, m)). */
+/** Bf16 overload of packAColMajor: A-pair panels for TN mode. */
 void
-packAColMajorBf16(const DenseMatrix &a, std::size_t m0, std::size_t mLen,
-                  std::size_t k0, std::size_t kcLen, std::uint32_t *ap)
+packAColMajor(const DenseMatrix &a, std::size_t m0, std::size_t mLen,
+              std::size_t k0, std::size_t kcLen, std::uint32_t *ap)
 {
     const std::size_t pairs = (kcLen + 1) / 2;
     for (std::size_t ip = 0; ip * kGemmMR < mLen; ++ip) {
@@ -499,77 +499,254 @@ packAColMajorBf16(const DenseMatrix &a, std::size_t m0, std::size_t mLen,
     }
 }
 
-/** uint32 words of A-pair pack scratch one M tile needs. */
-constexpr std::size_t kApPairWords = kGemmTileM * (kGemmKC / 2);
+/*
+ * ---- One tile driver for both precisions -----------------------------
+ *
+ * A kernel policy names what differs between the fp32 and the bf16
+ * paths: the packed word type, a KC block's depth in words, the plan
+ * panel accessor and the micro-kernel (the A packers are overloads on
+ * the word type). The tile driver, the task loop and the serial block
+ * driver below are written once against it.
+ */
+
+/** fp32 operands: MR-wide k-major float panels. */
+struct Fp32Kernel
+{
+    using Word = Feature;
+    /** Words of A-pack scratch one M tile needs. */
+    static constexpr std::size_t kApWords = kGemmTileM * kGemmKC;
+
+    static std::size_t
+    depth(const GemmPlan &plan, std::size_t kb)
+    {
+        return plan.kBlockLen(kb);
+    }
+
+    static const Word *
+    panel(const GemmPlan &plan, std::size_t kb, std::size_t jp)
+    {
+        return plan.panel(kb, jp);
+    }
+
+    void
+    micro(std::size_t rows, const Word *ap, const Word *bp,
+          std::size_t depth, Feature *c, std::size_t cStride,
+          std::size_t nValid, bool accumulate) const
+    {
+        microDispatch(rows, ap, bp, depth, c, cStride, nValid, accumulate);
+    }
+};
 
 /**
- * Bf16 twin of computeTile: KC slices advance by kBlockPairs pair
- * words, and the kernel choice (native vs emulated) is hoisted out of
- * the block loops.
+ * bf16 operands: k-pair uint32 words, A rounded during the pack. The
+ * native-vs-emulated choice is made once per GEMM, not per block.
  */
-template <typename PackASlice>
-void
-computeTileBf16(const GemmPlan &plan, Feature *cBase, std::size_t cStride,
-                std::size_t mLen, std::size_t jp0, std::size_t jp1,
-                GemmAccumulate acc, std::uint32_t *apBuf,
-                PackASlice &&packASlice)
+struct Bf16Kernel
 {
-    const bool native = bf16GemmIsNative();
+    using Word = std::uint32_t;
+    static constexpr std::size_t kApWords = kGemmTileM * (kGemmKC / 2);
+
+    bool native = false;
+
+    static std::size_t
+    depth(const GemmPlan &plan, std::size_t kb)
+    {
+        return plan.kBlockPairs(kb);
+    }
+
+    static const Word *
+    panel(const GemmPlan &plan, std::size_t kb, std::size_t jp)
+    {
+        return plan.pairPanel(kb, jp);
+    }
+
+    void
+    micro(std::size_t rows, const Word *ap, const Word *bp,
+          std::size_t depth, Feature *c, std::size_t cStride,
+          std::size_t nValid, bool accumulate) const
+    {
+        microDispatchBf16(native, rows, ap, bp, depth, c, cStride, nValid,
+                          accumulate);
+    }
+};
+
+/** Run @p fn with the kernel policy of @p plan's precision. */
+template <typename Fn>
+void
+withKernel(const GemmPlan &plan, Fn &&fn)
+{
+    if (plan.precision() == Precision::Bf16)
+        fn(Bf16Kernel{bf16GemmIsNative()});
+    else
+        fn(Fp32Kernel{});
+}
+
+/**
+ * The calling thread's A-pack scratch for @p Kernel, Kernel::kApWords
+ * words. Grow-only, so repeated GEMMs through a cached plan stay
+ * allocation-free; per thread, so pool workers running gemm tasks and
+ * fused kernels calling gemmBlockSerial never share it.
+ */
+template <typename Kernel>
+typename Kernel::Word *
+packScratch(const Kernel &)
+{
+    thread_local AlignedBuffer<typename Kernel::Word> scratch;
+    if (scratch.size() < Kernel::kApWords)
+        scratch.resize(Kernel::kApWords);
+    return scratch.data();
+}
+
+/**
+ * Serial tile driver: C rows [0, mLen) x panel columns [jp0, jp1) of
+ * the effective product over KC blocks [kb0, kb1) of @p plan.
+ * @p packASlice packs the tile's A rows for one slice into @p apBuf
+ * (capacity Kernel::kApWords); the packed slice is then reused across
+ * every column panel of the tile. The first block overwrites C unless
+ * @p accumulate is set.
+ */
+template <typename Kernel, typename PackASlice>
+void
+computeTile(const Kernel &kernel, const GemmPlan &plan, Feature *cBase,
+            std::size_t cStride, std::size_t mLen, std::size_t jp0,
+            std::size_t jp1, std::size_t kb0, std::size_t kb1,
+            bool accumulate, typename Kernel::Word *apBuf,
+            PackASlice &&packASlice)
+{
     const std::size_t nTotal = plan.n();
-    for (std::size_t kb = 0; kb < plan.numKBlocks(); ++kb) {
-        const std::size_t kcLen = plan.kBlockLen(kb);
-        const std::size_t pairs = plan.kBlockPairs(kb);
-        packASlice(kb * kGemmKC, kcLen, apBuf);
-        const bool accumulate =
-            kb > 0 || acc == GemmAccumulate::Add;
+    for (std::size_t kb = kb0; kb < kb1; ++kb) {
+        const std::size_t depth = Kernel::depth(plan, kb);
+        packASlice(kb * kGemmKC, plan.kBlockLen(kb), apBuf);
+        const bool add = kb > kb0 || accumulate;
         for (std::size_t jp = jp0; jp < jp1; ++jp) {
-            const std::uint32_t *bp = plan.pairPanel(kb, jp);
+            const typename Kernel::Word *bp = Kernel::panel(plan, kb, jp);
             const std::size_t n0 = jp * kGemmNR;
             const std::size_t nValid = std::min(kGemmNR, nTotal - n0);
             for (std::size_t ip = 0; ip * kGemmMR < mLen; ++ip) {
                 const std::size_t rows =
                     std::min(kGemmMR, mLen - ip * kGemmMR);
-                microDispatchBf16(native, rows,
-                                  apBuf + ip * pairs * kGemmMR, bp, pairs,
-                                  cBase + ip * kGemmMR * cStride + n0,
-                                  cStride, nValid, accumulate);
+                kernel.micro(rows, apBuf + ip * depth * kGemmMR, bp, depth,
+                             cBase + ip * kGemmMR * cStride + n0, cStride,
+                             nValid, add);
             }
         }
     }
 }
 
+/** Minimum KC blocks per K chunk of a split GEMM (4,096 rows of K). */
+constexpr std::size_t kSplitChunkBlocks = 32;
 /**
- * Serial tile driver: C rows [0, mLen) x panel columns [jp0, jp1) of
- * the effective product, looping KC slices of @p plan. @p packASlice
- * packs the tile's A rows for one slice into @p apBuf (capacity at
- * least roundUp(mLen, MR) * KC floats); the packed slice is then reused
- * across every column panel of the tile.
+ * Tile x K-chunk tasks a split GEMM aims for at most. Grids of more
+ * than half this many C tiles fill a pool alone and are never split.
  */
-template <typename PackASlice>
-void
-computeTile(const GemmPlan &plan, Feature *cBase, std::size_t cStride,
-            std::size_t mLen, std::size_t jp0, std::size_t jp1,
-            GemmAccumulate acc, Feature *apBuf, PackASlice &&packASlice)
+constexpr std::size_t kSplitTasks = 64;
+
+/**
+ * The parallel task grid of one GEMM: C tiles, and for short, deep
+ * shapes (the dW = Xᵀ·dY of a full-graph layer: a 64 x 128 C over
+ * K = |V|) K chunks per tile. A pure function of the shape, never of
+ * the pool size, so the chunk partials — and the rounding of their
+ * fixed-order sum — are the same on any thread count.
+ */
+struct TaskGrid
 {
-    const std::size_t nTotal = plan.n();
-    for (std::size_t kb = 0; kb < plan.numKBlocks(); ++kb) {
-        const std::size_t kcLen = plan.kBlockLen(kb);
-        packASlice(kb * kGemmKC, kcLen, apBuf);
-        const bool accumulate =
-            kb > 0 || acc == GemmAccumulate::Add;
-        for (std::size_t jp = jp0; jp < jp1; ++jp) {
-            const Feature *bp = plan.panel(kb, jp);
-            const std::size_t n0 = jp * kGemmNR;
-            const std::size_t nValid = std::min(kGemmNR, nTotal - n0);
-            for (std::size_t ip = 0; ip * kGemmMR < mLen; ++ip) {
-                const std::size_t rows =
-                    std::min(kGemmMR, mLen - ip * kGemmMR);
-                microDispatch(rows, apBuf + ip * kcLen * kGemmMR, bp,
-                              kcLen, cBase + ip * kGemmMR * cStride + n0,
-                              cStride, nValid, accumulate);
-            }
+    std::size_t mTiles = 0;
+    std::size_t tiles = 0;
+    std::size_t chunks = 1;
+    std::size_t chunkBlocks = 0;
+
+    TaskGrid(std::size_t m, const GemmPlan &plan)
+    {
+        mTiles = (m + kGemmTileM - 1) / kGemmTileM;
+        tiles = mTiles *
+                ((plan.numColPanels() + kPanelsPerTile - 1) / kPanelsPerTile);
+        const std::size_t blocks = plan.numKBlocks();
+        const std::size_t maxChunks =
+            std::min(blocks / kSplitChunkBlocks, kSplitTasks / tiles);
+        chunkBlocks = blocks;
+        if (maxChunks >= 2) {
+            chunkBlocks = (blocks + maxChunks - 1) / maxChunks;
+            chunks = (blocks + chunkBlocks - 1) / chunkBlocks;
         }
     }
+};
+
+/**
+ * The GEMM task loop, shared by both precisions: runs tasks
+ * [begin, end) of @p grid. Tasks walk the 2-D tile grid over C — N
+ * tiles in the outer index, so consecutive tasks drawn by one thread
+ * walk down an N tile and keep its B panels hot in L1/L2 — times the
+ * grid's K chunks. A split GEMM writes one partial C per chunk into
+ * @p partials (chunks x m rows of c.rowStride() floats), which
+ * reducePartials then sums into C.
+ */
+template <typename Kernel>
+void
+runTasks(const Kernel &kernel, GemmMode mode, const DenseMatrix &a,
+         const GemmPlan &plan, DenseMatrix &c, GemmAccumulate acc,
+         const TaskGrid &grid, Feature *partials, std::size_t begin,
+         std::size_t end)
+{
+    const std::size_t m = c.rows();
+    const std::size_t ldp = c.rowStride();
+    typename Kernel::Word *ap = packScratch(kernel);
+    for (std::size_t task = begin; task < end; ++task) {
+        const std::size_t tile = task % grid.tiles;
+        const std::size_t chunk = task / grid.tiles;
+        const std::size_t m0 = tile % grid.mTiles * kGemmTileM;
+        const std::size_t mLen = std::min(kGemmTileM, m - m0);
+        const std::size_t jp0 = tile / grid.mTiles * kPanelsPerTile;
+        const std::size_t jp1 =
+            std::min(jp0 + kPanelsPerTile, plan.numColPanels());
+        const std::size_t kb0 = chunk * grid.chunkBlocks;
+        const std::size_t kb1 =
+            std::min(kb0 + grid.chunkBlocks, plan.numKBlocks());
+        Feature *cBase = partials != nullptr
+                             ? partials + (chunk * m + m0) * ldp
+                             : c.row(m0);
+        const bool accumulate =
+            partials == nullptr && acc == GemmAccumulate::Add;
+        computeTile(kernel, plan, cBase, ldp, mLen, jp0, jp1, kb0, kb1,
+                    accumulate, ap,
+                    [&](std::size_t k0, std::size_t kcLen, auto *dst) {
+            if (mode == GemmMode::TN)
+                packAColMajor(a, m0, mLen, k0, kcLen, dst);
+            else
+                packARowMajor(a.row(m0), a.rowStride(), mLen, k0, kcLen,
+                              dst);
+        });
+    }
+}
+
+/**
+ * C (+)= Σ partials in chunk order — the columnSum idiom: each element
+ * sums the same partials in the same order whichever thread reduces it.
+ */
+void
+reducePartials(const Feature *partials, std::size_t chunks, DenseMatrix &c,
+               GemmAccumulate acc)
+{
+    const std::size_t m = c.rows();
+    const std::size_t n = c.cols();
+    const std::size_t ldp = c.rowStride();
+    GRAPHITE_TRACE_SPAN("gemm.reduce");
+    parallelFor(0, m, 8,
+                [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t r = begin; r < end; ++r) {
+            Feature *cRow = c.row(r);
+            std::size_t chunk = 0;
+            if (acc == GemmAccumulate::Overwrite) {
+                std::copy(partials + r * ldp, partials + r * ldp + n, cRow);
+                chunk = 1;
+            }
+            for (; chunk < chunks; ++chunk) {
+                const Feature *part = partials + (chunk * m + r) * ldp;
+                #pragma omp simd
+                for (std::size_t j = 0; j < n; ++j)
+                    cRow[j] += part[j];
+            }
+        }
+    });
 }
 
 void
@@ -658,91 +835,28 @@ gemm(GemmMode mode, const DenseMatrix &a, const GemmPlan &plan,
         return;
     }
 
-    // 2-D tile grid over C: N tiles in the outer index so consecutive
-    // tasks drawn by one thread walk down an N tile and keep its B
-    // panels hot in L1/L2 — and so wide-N/short-M shapes (dW) still
-    // expose enough tasks to fill the pool.
-    const std::size_t mTiles = (m + kGemmTileM - 1) / kGemmTileM;
-    const std::size_t nTiles =
-        (plan.numColPanels() + kPanelsPerTile - 1) / kPanelsPerTile;
-    const std::size_t tasks = mTiles * nTiles;
-
-    if (plan.precision() == Precision::Bf16) {
-        // A is rounded to bf16 pair words during the per-slice pack;
-        // the scratch is a distinct uint32 buffer (not a reuse of the
-        // fp32 one) so the kernels never type-pun Feature storage.
-        // Grow-only per-worker scratch (the gemmBlockSerial idiom)
-        // keeps repeated GEMMs through a cached plan allocation-free.
-        parallelFor(0, tasks, 1,
-                    [&](std::size_t begin, std::size_t end,
-                        std::size_t) {
-            thread_local AlignedBuffer<std::uint32_t> apPairScratch;
-            if (apPairScratch.size() < kApPairWords)
-                apPairScratch.resize(kApPairWords);
-            std::uint32_t *ap = apPairScratch.data();
-            for (std::size_t task = begin; task < end; ++task) {
-                const std::size_t mt = task % mTiles;
-                const std::size_t nt = task / mTiles;
-                const std::size_t m0 = mt * kGemmTileM;
-                const std::size_t mLen = std::min(kGemmTileM, m - m0);
-                const std::size_t jp0 = nt * kPanelsPerTile;
-                const std::size_t jp1 =
-                    std::min(jp0 + kPanelsPerTile, plan.numColPanels());
-                Feature *cBase = c.row(m0);
-                if (mode == GemmMode::TN) {
-                    computeTileBf16(plan, cBase, c.rowStride(), mLen, jp0,
-                                    jp1, acc, ap,
-                                    [&](std::size_t k0, std::size_t kcLen,
-                                        std::uint32_t *dst) {
-                        packAColMajorBf16(a, m0, mLen, k0, kcLen, dst);
-                    });
-                } else {
-                    computeTileBf16(plan, cBase, c.rowStride(), mLen, jp0,
-                                    jp1, acc, ap,
-                                    [&](std::size_t k0, std::size_t kcLen,
-                                        std::uint32_t *dst) {
-                        packARowMajorBf16(a.row(m0), a.rowStride(), mLen,
-                                          k0, kcLen, dst);
-                    });
-                }
-            }
-        });
-        return;
+    const TaskGrid grid(m, plan);
+    Feature *partials = nullptr;
+    if (grid.chunks > 1) {
+        // Grow-only scratch of the calling thread, so concurrent gemm
+        // callers never share it. thread_local names are not captured
+        // by [&] (a worker would see its own instance), hence the
+        // pointer handed to the tasks.
+        thread_local AlignedBuffer<Feature> partialScratch;
+        const std::size_t words = grid.chunks * m * c.rowStride();
+        if (partialScratch.size() < words)
+            partialScratch.resize(words);
+        partials = partialScratch.data();
     }
-
-    parallelFor(0, tasks, 1,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        thread_local AlignedBuffer<Feature> apTileScratch;
-        if (apTileScratch.size() < kGemmTileM * kGemmKC)
-            apTileScratch.resize(kGemmTileM * kGemmKC);
-        Feature *ap = apTileScratch.data();
-        for (std::size_t task = begin; task < end; ++task) {
-            const std::size_t mt = task % mTiles;
-            const std::size_t nt = task / mTiles;
-            const std::size_t m0 = mt * kGemmTileM;
-            const std::size_t mLen = std::min(kGemmTileM, m - m0);
-            const std::size_t jp0 = nt * kPanelsPerTile;
-            const std::size_t jp1 =
-                std::min(jp0 + kPanelsPerTile, plan.numColPanels());
-            Feature *cBase = c.row(m0);
-            if (mode == GemmMode::TN) {
-                computeTile(plan, cBase, c.rowStride(), mLen, jp0, jp1,
-                            acc, ap,
-                            [&](std::size_t k0, std::size_t kcLen,
-                                Feature *dst) {
-                    packAColMajor(a, m0, mLen, k0, kcLen, dst);
-                });
-            } else {
-                computeTile(plan, cBase, c.rowStride(), mLen, jp0, jp1,
-                            acc, ap,
-                            [&](std::size_t k0, std::size_t kcLen,
-                                Feature *dst) {
-                    packARowMajor(a.row(m0), a.rowStride(), mLen, k0,
-                                  kcLen, dst);
-                });
-            }
-        }
+    withKernel(plan, [&](const auto &kernel) {
+        parallelFor(0, grid.tiles * grid.chunks, 1,
+                    [&](std::size_t begin, std::size_t end, std::size_t) {
+            runTasks(kernel, mode, a, plan, c, acc, grid, partials, begin,
+                     end);
+        });
     });
+    if (partials != nullptr)
+        reducePartials(partials, grid.chunks, c, acc);
 }
 
 void
@@ -768,38 +882,19 @@ gemmBlockSerial(const Feature *aRows, std::size_t rows,
                       0.0f);
         return;
     }
-    if (plan.precision() == Precision::Bf16) {
-        thread_local std::vector<std::uint32_t> apPairScratch;
-        if (apPairScratch.size() < kApPairWords)
-            apPairScratch.resize(kApPairWords);
+    withKernel(plan, [&](const auto &kernel) {
+        auto *ap = packScratch(kernel);
         for (std::size_t m0 = 0; m0 < rows; m0 += kGemmTileM) {
             const std::size_t mLen = std::min(kGemmTileM, rows - m0);
-            computeTileBf16(plan, cRows + m0 * cStride, cStride, mLen, 0,
-                            plan.numColPanels(), GemmAccumulate::Overwrite,
-                            apPairScratch.data(),
-                            [&](std::size_t k0, std::size_t kcLen,
-                                std::uint32_t *dst) {
-                packARowMajorBf16(aRows + m0 * aStride, aStride, mLen, k0,
-                                  kcLen, dst);
+            computeTile(kernel, plan, cRows + m0 * cStride, cStride, mLen,
+                        0, plan.numColPanels(), 0, plan.numKBlocks(), false,
+                        ap,
+                        [&](std::size_t k0, std::size_t kcLen, auto *dst) {
+                packARowMajor(aRows + m0 * aStride, aStride, mLen, k0,
+                              kcLen, dst);
             });
         }
-        return;
-    }
-    // Per-calling-thread pack scratch: the fused kernels call this from
-    // inside pool tasks, so no shared state and no nested parallelism.
-    thread_local std::vector<Feature> apScratch;
-    if (apScratch.size() < kGemmTileM * kGemmKC)
-        apScratch.resize(kGemmTileM * kGemmKC);
-    for (std::size_t m0 = 0; m0 < rows; m0 += kGemmTileM) {
-        const std::size_t mLen = std::min(kGemmTileM, rows - m0);
-        computeTile(plan, cRows + m0 * cStride, cStride, mLen, 0,
-                    plan.numColPanels(), GemmAccumulate::Overwrite,
-                    apScratch.data(),
-                    [&](std::size_t k0, std::size_t kcLen, Feature *dst) {
-            packARowMajor(aRows + m0 * aStride, aStride, mLen, k0, kcLen,
-                          dst);
-        });
-    }
+    });
 }
 
 void
@@ -835,18 +930,24 @@ gemmReference(GemmMode mode, const DenseMatrix &a, const DenseMatrix &b,
     const std::size_t m = c.rows();
     const std::size_t n = c.cols();
     const std::size_t kDim = (mode == GemmMode::TN) ? a.rows() : a.cols();
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double sum = 0.0;
-            for (std::size_t k = 0; k < kDim; ++k) {
-                const Feature av =
-                    (mode == GemmMode::TN) ? a.at(k, r) : a.at(r, k);
-                const Feature bv =
-                    (mode == GemmMode::NT) ? b.at(j, k) : b.at(k, j);
-                sum += double{av} * double{bv};
-            }
-            c.at(r, j) += static_cast<Feature>(sum);
+    // k outermost, so deep operands stream row by row; each (r, j)
+    // still sums its products in k order, in double.
+    std::vector<double> sum(m * n, 0.0);
+    std::vector<double> bRow(n);
+    for (std::size_t k = 0; k < kDim; ++k) {
+        for (std::size_t j = 0; j < n; ++j)
+            bRow[j] = (mode == GemmMode::NT) ? b.at(j, k) : b.at(k, j);
+        for (std::size_t r = 0; r < m; ++r) {
+            const double av =
+                (mode == GemmMode::TN) ? a.at(k, r) : a.at(r, k);
+            double *sumRow = sum.data() + r * n;
+            for (std::size_t j = 0; j < n; ++j)
+                sumRow[j] += av * bRow[j];
         }
+    }
+    for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t j = 0; j < n; ++j)
+            c.at(r, j) += static_cast<Feature>(sum[r * n + j]);
     }
 }
 

@@ -8,8 +8,12 @@
  * right-hand operand is repacked into NR-wide panels (GemmPlan, reusable
  * across calls), the left-hand operand is packed per KC slice on the fly,
  * and an MR x NR register-tile micro-kernel runs FMA chains over the
- * panels. Work is threaded over a 2-D grid of M x N output tiles so
- * wide-N/short-M shapes (dW = X^T·dY) scale as well as tall ones.
+ * panels. Work is threaded over a 2-D grid of M x N output tiles; a
+ * grid too small to fill a pool over a deep K — the dW = X^T·dY of a
+ * full-graph layer, one or two tiles over K = |V| — is also split into
+ * K chunks whose partial tiles are summed in chunk order. The split is
+ * a function of the shape alone, so C is bitwise the same on any
+ * thread count.
  *
  * Supported forms (C is M x N):
  *   NN: C (+)= A(MxK)   * B(KxN)

@@ -42,7 +42,16 @@ void reluBackward(const DenseMatrix &activated, DenseMatrix &grad);
 /**
  * Inverted dropout: zero each element with probability @p rate and scale
  * survivors by 1/(1-rate). Writes the survival mask (1 bit per element,
- * row-major, rowStride-padded) into @p mask for the backward pass.
+ * row-major, rowStride-padded: bit r * rowStride + c) into @p mask for
+ * the backward pass; padding lanes are left 0 with their bits clear.
+ *
+ * The draw is counter-based: element (r, c) survives iff
+ * fmix32((c · 0x9e3779b1 + lo(key_r)) ^ hi(key_r)) >= ⌊rate · 2^32⌋,
+ * with the row key key_r = splitmix64(splitmix64(@p seed) + r). The mask
+ * is therefore a pure function of (seed, r, c) — identical for any pool
+ * size or row chunking — and costs no per-element branch: with AVX-512
+ * the comparison of 16 hashes yields the 16-bit mask field itself, and
+ * one zero-masking multiply applies it.
  */
 void dropoutForward(DenseMatrix &x, double rate, std::uint64_t seed,
                     std::vector<std::uint64_t> &mask);
@@ -50,6 +59,16 @@ void dropoutForward(DenseMatrix &x, double rate, std::uint64_t seed,
 /** Dropout backward: apply the saved mask and the 1/(1-rate) scale. */
 void dropoutBackward(DenseMatrix &grad, double rate,
                      const std::vector<std::uint64_t> &mask);
+
+/**
+ * Serial scalar references of the two dropout directions: bit-identical
+ * to the vector paths (the tests' oracle; dropoutForward/Backward fall
+ * back to the same loops on targets without AVX-512).
+ */
+void dropoutForwardScalar(DenseMatrix &x, double rate, std::uint64_t seed,
+                          std::vector<std::uint64_t> &mask);
+void dropoutBackwardScalar(DenseMatrix &grad, double rate,
+                           const std::vector<std::uint64_t> &mask);
 
 /**
  * Parallel column sum: out[c] = Σ_r x[r, c] — the bias-gradient

@@ -25,6 +25,7 @@
 #include "gnn/trainer.h"
 #include "graph/generators.h"
 #include "parallel/thread_pool.h"
+#include "tensor/gemm.h"
 
 namespace graphite {
 namespace {
@@ -181,6 +182,34 @@ TEST(SteadyStateAllocFree, CombinedLocalityTraining)
 {
     expectEpochAllocationFree(TechniqueConfig::combinedLocality(),
                               "combined-locality-epoch");
+}
+
+/**
+ * The test graphs above are too small for gemm's K split, so the split
+ * dW GEMM of a full-graph layer is checked on its own: after warm-up,
+ * its grow-only partial and pack scratch make repeated calls through a
+ * cached plan allocation-free, at either precision.
+ */
+TEST(SteadyStateAllocFree, SplitWeightGradientGemm)
+{
+    if (!ScopedAllocGuard::interpositionActive())
+        GTEST_SKIP() << "interposer compiled out (GRAPHITE_CHECKS off)";
+    // K = 32 split chunks of 4,096 rows plus a ragged tail.
+    DenseMatrix agg(32 * 4096 + 77, 64);
+    DenseMatrix dz(agg.rows(), 128);
+    agg.fillUniform(-1.0f, 1.0f, 13);
+    dz.fillUniform(-1.0f, 1.0f, 14);
+    DenseMatrix dw(64, 128);
+    for (const Precision precision : {Precision::Fp32, Precision::Bf16}) {
+        const GemmPlan plan(GemmMode::TN, dz, precision);
+        gemm(GemmMode::TN, agg, plan, dw);
+        gemm(GemmMode::TN, agg, plan, dw);
+        ScopedAllocGuard guard("split-dw-gemm");
+        gemm(GemmMode::TN, agg, plan, dw);
+        gemm(GemmMode::TN, agg, plan, dw, GemmAccumulate::Add);
+        EXPECT_EQ(guard.allocations(), 0u)
+            << "steady-state split GEMM allocated";
+    }
 }
 
 void

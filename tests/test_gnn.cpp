@@ -323,15 +323,17 @@ TEST(Trainer, CheckNumericsDetectsPoisonedWeights)
 
 TEST(Trainer, TechniquesDoNotChangeTrainingTrajectory)
 {
-    // With dropout off, training with all techniques must follow the
-    // same loss trajectory as the basic path (same math, same seeds).
+    // Training with all techniques must follow the same loss trajectory
+    // as the basic path (same math, same seeds) — with dropout on too:
+    // masks depend only on (seed, epoch, layer), and the packed rows the
+    // next layer gathers must hold the post-dropout activations.
     CsrGraph g = generateErdosRenyi(100, 700, false, 53);
     SyntheticTask task = makeSyntheticTask(g, 3, 8, 0.1, 54);
 
-    auto runLosses = [&](const TechniqueConfig &tech) {
+    auto runLosses = [&](const TechniqueConfig &tech, double dropout) {
         GnnModelConfig config;
         config.featureWidths = {8, 16, 3};
-        config.dropoutRate = 0.0;
+        config.dropoutRate = dropout;
         config.seed = 99;
         GnnModel model(g, config);
         TrainerConfig tc;
@@ -344,12 +346,16 @@ TEST(Trainer, TechniquesDoNotChangeTrainingTrajectory)
         return losses;
     };
 
-    const auto base = runLosses(TechniqueConfig::basic());
-    const auto combined = runLosses(TechniqueConfig::combinedLocality());
-    ASSERT_EQ(base.size(), combined.size());
-    for (std::size_t i = 0; i < base.size(); ++i)
-        EXPECT_NEAR(base[i], combined[i],
-                    std::abs(base[i]) * 5e-3 + 5e-4);
+    for (const double dropout : {0.0, 0.5}) {
+        const auto base = runLosses(TechniqueConfig::basic(), dropout);
+        const auto combined =
+            runLosses(TechniqueConfig::combinedLocality(), dropout);
+        ASSERT_EQ(base.size(), combined.size());
+        for (std::size_t i = 0; i < base.size(); ++i)
+            EXPECT_NEAR(base[i], combined[i],
+                        std::abs(base[i]) * 5e-3 + 5e-4)
+                << "dropout " << dropout << ", epoch " << i;
+    }
 }
 
 TEST(SyntheticTask, LabelsCorrelateWithStructure)

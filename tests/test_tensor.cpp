@@ -9,13 +9,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
 #include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "kernels/aggregation.h"
+#include "parallel/thread_pool.h"
 #include "tensor/dense_matrix.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
@@ -212,6 +218,177 @@ INSTANTIATE_TEST_SUITE_P(
     ModesAndAccumulate, GemmPackedSweep,
     testing::Combine(testing::Values(0, 1, 2),   // NN, NT, TN
                      testing::Values(0, 1)));    // Overwrite, Add
+
+/*
+ * ---- K-split GEMM ----------------------------------------------------
+ *
+ * Short, deep TN shapes — the dW = aᵀ·dz of a full-graph layer — split
+ * K into chunks whose partial C tiles are summed in chunk order.
+ */
+
+/** The split's K chunk: 32 KC blocks. */
+constexpr std::size_t kSplitChunkRows = 32 * kGemmKC;
+
+/**
+ * Fill with values on a 1/8 grid in [-1, 1]: exact in bf16, and every
+ * sum of up to 2^18 such products is exact in fp32 — so any summation
+ * order, split or not, at either precision, must reproduce the double
+ * reference bit for bit.
+ */
+void
+fillEighths(DenseMatrix &x, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t c = 0; c < x.cols(); ++c) {
+            x.at(r, c) =
+                static_cast<Feature>(static_cast<int>(rng.uniformInt(17)) -
+                                     8) /
+                8.0f;
+        }
+    }
+}
+
+/** Operands and gemmReference product of one split shape, built once. */
+struct SplitCase
+{
+    DenseMatrix a;
+    DenseMatrix b;
+    DenseMatrix reference;
+};
+
+const SplitCase &
+splitCase(std::size_t k, std::size_t m, std::size_t n)
+{
+    static std::map<std::tuple<std::size_t, std::size_t, std::size_t>,
+                    std::unique_ptr<SplitCase>>
+        cache;
+    std::unique_ptr<SplitCase> &entry = cache[{k, m, n}];
+    if (!entry) {
+        entry = std::make_unique<SplitCase>();
+        entry->a = DenseMatrix(k, m);
+        entry->b = DenseMatrix(k, n);
+        entry->reference = DenseMatrix(m, n);
+        fillEighths(entry->a, 41);
+        fillEighths(entry->b, 42);
+        gemmReference(GemmMode::TN, entry->a, entry->b, entry->reference);
+    }
+    return *entry;
+}
+
+/** (K, shape: 0 = 64 x 128, 1 = 128 x 8, precision, accumulate). */
+class GemmKSplit
+    : public testing::TestWithParam<std::tuple<std::size_t, int, Precision,
+                                               GemmAccumulate>>
+{
+};
+
+TEST_P(GemmKSplit, TnMatchesReferenceExactly)
+{
+    const auto [k, shape, precision, acc] = GetParam();
+    const std::size_t m = shape == 0 ? 64 : 128;
+    const std::size_t n = shape == 0 ? 128 : 8;
+    const SplitCase &sc = splitCase(k, m, n);
+    DenseMatrix start(m, n);
+    DenseMatrix expected = sc.reference;
+    if (acc == GemmAccumulate::Add) {
+        fillEighths(start, 43);
+        for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t j = 0; j < n; ++j)
+                expected.at(r, j) += start.at(r, j);
+        }
+    }
+    const GemmPlan plan(GemmMode::TN, sc.b, precision);
+    for (const bool emulated : {false, true}) {
+        if (precision == Precision::Fp32 && emulated)
+            continue;
+        setBf16GemmEmulated(emulated);
+        DenseMatrix c = start;
+        gemm(GemmMode::TN, sc.a, plan, c, acc);
+        EXPECT_EQ(c.maxAbsDiff(expected), 0.0)
+            << (emulated ? "emulated" : "dispatched") << " kernel";
+    }
+    setBf16GemmEmulated(false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DwShapes, GemmKSplit,
+    testing::Combine(testing::Values(2 * kSplitChunkRows, 131072,
+                                     131072 + 77),
+                     testing::Values(0, 1),
+                     testing::Values(Precision::Fp32, Precision::Bf16),
+                     testing::Values(GemmAccumulate::Overwrite,
+                                     GemmAccumulate::Add)));
+
+/** Row-by-row bitwise equality of the logical region. */
+bool
+bitwiseEqual(const DenseMatrix &x, const DenseMatrix &y)
+{
+    if (x.rows() != y.rows() || x.cols() != y.cols())
+        return false;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        if (std::memcmp(x.row(r), y.row(r), x.cols() * sizeof(Feature)) !=
+            0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The split and its chunk size depend on the shape alone, so C is
+ * bitwise the same on any pool size — on general data, where the
+ * summation order does change the rounding.
+ */
+TEST(GemmKSplit, BitwiseEqualAcrossPoolSizes)
+{
+    const std::size_t restore = ThreadPool::global().numThreads();
+    const std::size_t k = 131072 + 77;
+    for (const auto &[m, n] : {std::pair<std::size_t, std::size_t>{64, 128},
+                              {128, 8}}) {
+        DenseMatrix a(k, m);
+        DenseMatrix b(k, n);
+        a.fillUniform(-1.0f, 1.0f, 51);
+        b.fillUniform(-1.0f, 1.0f, 52);
+        for (const Precision precision : {Precision::Fp32, Precision::Bf16}) {
+            const GemmPlan plan(GemmMode::TN, b, precision);
+            std::vector<DenseMatrix> results;
+            for (const std::size_t threads : {1, 2, 4}) {
+                ThreadPool::setGlobalThreads(threads);
+                results.emplace_back(m, n);
+                gemm(GemmMode::TN, a, plan, results.back());
+            }
+            EXPECT_TRUE(bitwiseEqual(results[0], results[1]))
+                << m << "x" << n << " 1 vs 2 threads";
+            EXPECT_TRUE(bitwiseEqual(results[0], results[2]))
+                << m << "x" << n << " 1 vs 4 threads";
+        }
+    }
+    ThreadPool::setGlobalThreads(restore);
+}
+
+/** The chunked sum stays within fp32 rounding of the double reference. */
+TEST(GemmKSplit, SplitSumStaysNearDoubleReference)
+{
+    const std::size_t k = 131072 + 77;
+    DenseMatrix a(k, 64);
+    DenseMatrix b(k, 128);
+    a.fillUniform(-1.0f, 1.0f, 53);
+    b.fillUniform(-1.0f, 1.0f, 54);
+    DenseMatrix c(64, 128);
+    DenseMatrix expected(64, 128);
+    gemm(GemmMode::TN, a, b, c);
+    gemmReference(GemmMode::TN, a, b, expected);
+    double err = 0.0;
+    double norm = 0.0;
+    for (std::size_t r = 0; r < 64; ++r) {
+        for (std::size_t j = 0; j < 128; ++j) {
+            const double ref = expected.at(r, j);
+            err += (c.at(r, j) - ref) * (c.at(r, j) - ref);
+            norm += ref * ref;
+        }
+    }
+    EXPECT_LT(std::sqrt(err / norm), 1e-6);
+}
 
 TEST(GemmPlan, ReuseAcrossCallsGivesIdenticalResults)
 {
@@ -441,6 +618,151 @@ TEST(RowOps, DropoutBackwardAppliesSameMask)
             else
                 EXPECT_NEAR(grad.at(r, c), 1.0f / 0.6f, 1e-5);
         }
+    }
+}
+
+/*
+ * ---- Counter-based dropout -------------------------------------------
+ */
+
+bool
+keptBit(const std::vector<std::uint64_t> &mask, const DenseMatrix &x,
+        std::size_t r, std::size_t c)
+{
+    const std::size_t bit = r * x.rowStride() + c;
+    return (mask[bit / 64] >> (bit % 64)) & 1;
+}
+
+TEST(Dropout, KeepFractionWithinFiveSigmaOfRate)
+{
+    for (const double rate : {0.1, 0.5, 0.9}) {
+        DenseMatrix x(1024, 128);
+        x.fillUniform(1.0f, 2.0f, 60);
+        std::vector<std::uint64_t> mask;
+        dropoutForward(x, rate, 61, mask);
+        std::size_t kept = 0;
+        for (std::uint64_t word : mask)
+            kept += static_cast<std::size_t>(__builtin_popcountll(word));
+        const double count = 1024.0 * 128.0;
+        const double p = 1.0 - rate;
+        const double sigma = std::sqrt(p * (1.0 - p) / count);
+        EXPECT_LT(std::abs(static_cast<double>(kept) / count - p),
+                  5.0 * sigma)
+            << "rate " << rate;
+    }
+}
+
+/**
+ * Pearson correlation of keep bits one step apart, along rows
+ * (c, c + 1) or along columns (r, r + 1).
+ */
+double
+lagOneCorrelation(const std::vector<std::uint64_t> &mask,
+                  const DenseMatrix &x, bool alongRows)
+{
+    double sx = 0.0;
+    double sy = 0.0;
+    double sxy = 0.0;
+    double sxx = 0.0;
+    double syy = 0.0;
+    double count = 0.0;
+    const std::size_t rows = alongRows ? x.rows() : x.rows() - 1;
+    const std::size_t cols = alongRows ? x.cols() - 1 : x.cols();
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double u = keptBit(mask, x, r, c);
+            const double v = alongRows ? keptBit(mask, x, r, c + 1)
+                                       : keptBit(mask, x, r + 1, c);
+            sx += u;
+            sy += v;
+            sxy += u * v;
+            sxx += u * u;
+            syy += v * v;
+            count += 1.0;
+        }
+    }
+    const double cov = sxy / count - (sx / count) * (sy / count);
+    const double varX = sxx / count - (sx / count) * (sx / count);
+    const double varY = syy / count - (sy / count) * (sy / count);
+    return cov / std::sqrt(varX * varY);
+}
+
+TEST(Dropout, AdjacentKeepBitsAreUncorrelated)
+{
+    for (const double rate : {0.1, 0.5}) {
+        DenseMatrix x(8192, 128); // 1M elements
+        x.fillUniform(1.0f, 2.0f, 62);
+        std::vector<std::uint64_t> mask;
+        dropoutForward(x, rate, 63, mask);
+        EXPECT_LT(std::abs(lagOneCorrelation(mask, x, true)), 0.01)
+            << "along rows, rate " << rate;
+        EXPECT_LT(std::abs(lagOneCorrelation(mask, x, false)), 0.01)
+            << "along columns, rate " << rate;
+    }
+}
+
+TEST(Dropout, MaskIsPoolSizeIndependentAndSeedDependent)
+{
+    const std::size_t restore = ThreadPool::global().numThreads();
+    DenseMatrix base(3000, 100);
+    base.fillUniform(1.0f, 2.0f, 64);
+    std::vector<std::vector<std::uint64_t>> masks;
+    std::vector<DenseMatrix> outputs;
+    for (const std::size_t threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        outputs.push_back(base);
+        masks.emplace_back();
+        dropoutForward(outputs.back(), 0.5, 65, masks.back());
+    }
+    ThreadPool::setGlobalThreads(restore);
+    EXPECT_EQ(masks[0], masks[1]);
+    EXPECT_TRUE(bitwiseEqual(outputs[0], outputs[1]));
+
+    DenseMatrix other = base;
+    std::vector<std::uint64_t> otherMask;
+    dropoutForward(other, 0.5, 66, otherMask);
+    EXPECT_NE(masks[0], otherMask);
+}
+
+TEST(Dropout, PaddingLanesStayZeroWithBitsClear)
+{
+    DenseMatrix x(300, 100); // stride 112: 12 padding lanes per row
+    ASSERT_GT(x.rowStride(), x.cols());
+    x.fillUniform(1.0f, 2.0f, 67);
+    std::vector<std::uint64_t> mask;
+    dropoutForward(x, 0.3, 68, mask);
+    DenseMatrix grad(300, 100);
+    grad.fillUniform(1.0f, 2.0f, 69);
+    dropoutBackward(grad, 0.3, mask);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t c = x.cols(); c < x.rowStride(); ++c) {
+            EXPECT_EQ(x.row(r)[c], 0.0f);
+            EXPECT_EQ(grad.row(r)[c], 0.0f);
+            EXPECT_FALSE(keptBit(mask, x, r, c));
+        }
+    }
+}
+
+/** The AVX-512 path (where compiled) against the scalar reference. */
+TEST(Dropout, VectorAndScalarPathsAgree)
+{
+    for (const std::size_t cols : {1, 15, 16, 100, 128, 129}) {
+        DenseMatrix vec(300, cols);
+        vec.fillUniform(-1.0f, 1.0f, 70);
+        DenseMatrix scalar = vec;
+        std::vector<std::uint64_t> vecMask;
+        std::vector<std::uint64_t> scalarMask;
+        dropoutForward(vec, 0.35, 71, vecMask);
+        dropoutForwardScalar(scalar, 0.35, 71, scalarMask);
+        EXPECT_EQ(vecMask, scalarMask) << cols << " columns";
+        EXPECT_TRUE(bitwiseEqual(vec, scalar)) << cols << " columns";
+
+        DenseMatrix gradVec(300, cols);
+        gradVec.fillUniform(-1.0f, 1.0f, 72);
+        DenseMatrix gradScalar = gradVec;
+        dropoutBackward(gradVec, 0.35, vecMask);
+        dropoutBackwardScalar(gradScalar, 0.35, scalarMask);
+        EXPECT_TRUE(bitwiseEqual(gradVec, gradScalar)) << cols << " columns";
     }
 }
 
