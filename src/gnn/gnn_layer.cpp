@@ -81,11 +81,22 @@ GnnLayer::packedWeightsTransposed(Precision precision) const
     return packedNT_[slot];
 }
 
+bool
+GnnLayer::updatesFirst(const AggregationSpec &spec) const
+{
+    const auto lines = [](std::size_t cols) {
+        return (cols + kFloatsPerLine - 1) / kFloatsPerLine;
+    };
+    return spec.reduce == ReduceOp::Sum &&
+           lines(outFeatures_) < lines(inFeatures_);
+}
+
 namespace {
 
 /**
- * The rows a layer gathers: packed rows win when compression is on,
- * then bf16 rows under the Bf16 precision technique, else fp32.
+ * The rows an aggregate-first layer gathers: packed rows win when
+ * compression is on, then bf16 rows under the Bf16 precision technique,
+ * else fp32.
  */
 FeatureRows
 gatherRows(const DenseMatrix &in, const CompressedMatrix *inCompressed,
@@ -115,31 +126,9 @@ layerSchedule(const CsrGraph &graph, const FeatureRows &in,
 } // namespace
 
 void
-GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
-                  FeatureRows in, DenseMatrix *agg, DenseMatrix &out,
-                  CompressedMatrix *outCompressed, Bf16Matrix *outBf16,
-                  const Schedule &schedule,
-                  const TechniqueConfig &tech) const
+GnnLayer::finishOutput(DenseMatrix &out, CompressedMatrix *outCompressed,
+                       Bf16Matrix *outBf16) const
 {
-    const GemmPlan &plan = packedWeights(tech.precision);
-    // Fusion has no delayed-halo variant (the replica phase breaks the
-    // per-block pipeline); delayed runs take the unfused path below.
-    if (tech.fusion && schedule.delayedHalo == nullptr) {
-        const UpdateOp update{&weights_, bias_, relu_, &plan,
-                              tech.precision};
-        fusedLayer(graph, in, spec, update, out,
-                   {agg, outCompressed, outBf16}, schedule, tech.fused,
-                   tech.agg);
-        return;
-    }
-    // Unfused path: aggregation materialises a^k, then one big GEMM.
-    DenseMatrix scratch;
-    if (agg == nullptr) {
-        scratch.resize(graph.numVertices(), inFeatures_);
-        agg = &scratch;
-    }
-    aggregate(graph, in, *agg, spec, schedule, tech.agg);
-    gemm(GemmMode::NN, *agg, plan, out);
     if (!bias_.empty())
         addBias(out, bias_);
     if (relu_)
@@ -151,11 +140,58 @@ GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
 }
 
 void
+GnnLayer::forward(const CsrGraph &graph, const AggregationSpec &spec,
+                  const DenseMatrix &in,
+                  const CompressedMatrix *inCompressed,
+                  const Bf16Matrix *inBf16, DenseMatrix *agg,
+                  DenseMatrix &narrow, DenseMatrix &out,
+                  CompressedMatrix *outCompressed, Bf16Matrix *outBf16,
+                  std::span<const VertexId> order, const PartitionPlan *plan,
+                  const TechniqueConfig &tech) const
+{
+    const GemmPlan &weights = packedWeights(tech.precision);
+    if (updatesFirst(spec)) {
+        // Z = h·W, then gather the narrow Z rows. Z stays fp32 at every
+        // precision: its rows are already a few lines wide, and a bf16
+        // copy would cost one more pass over it.
+        narrow.reshape(graph.numVertices(), outFeatures_);
+        gemm(GemmMode::NN, in, weights, narrow);
+        aggregate(graph, narrow, out, spec,
+                  layerSchedule(graph, narrow, order, plan, tech),
+                  tech.agg);
+        finishOutput(out, outCompressed, outBf16);
+        return;
+    }
+    const FeatureRows rows = gatherRows(in, inCompressed, inBf16, tech);
+    const Schedule schedule = layerSchedule(graph, rows, order, plan, tech);
+    // Fusion has no delayed-halo variant (the replica phase breaks the
+    // per-block pipeline); delayed runs take the unfused path below.
+    if (tech.fusion && schedule.delayedHalo == nullptr) {
+        const UpdateOp update{&weights_, bias_, relu_, &weights,
+                              tech.precision};
+        fusedLayer(graph, rows, spec, update, out,
+                   {agg, outCompressed, outBf16}, schedule, tech.fused,
+                   tech.agg);
+        return;
+    }
+    // Unfused path: aggregation materialises a^k, then one big GEMM.
+    DenseMatrix scratch;
+    if (agg == nullptr) {
+        scratch.resize(graph.numVertices(), inFeatures_);
+        agg = &scratch;
+    }
+    aggregate(graph, rows, *agg, spec, schedule, tech.agg);
+    gemm(GemmMode::NN, *agg, weights, out);
+    finishOutput(out, outCompressed, outBf16);
+}
+
+void
 GnnLayer::forwardInference(const CsrGraph &graph,
                            const AggregationSpec &spec,
                            const DenseMatrix &in,
                            const CompressedMatrix *inCompressed,
                            const Bf16Matrix *inBf16, DenseMatrix &out,
+                           DenseMatrix &narrow,
                            CompressedMatrix *outCompressed,
                            Bf16Matrix *outBf16,
                            std::span<const VertexId> order,
@@ -163,9 +199,8 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            const TechniqueConfig &tech) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
-    const FeatureRows rows = gatherRows(in, inCompressed, inBf16, tech);
-    forward(graph, spec, rows, nullptr, out, outCompressed, outBf16,
-            layerSchedule(graph, rows, order, plan, tech), tech);
+    forward(graph, spec, in, inCompressed, inBf16, nullptr, narrow, out,
+            outCompressed, outBf16, order, plan, tech);
 }
 
 void
@@ -180,30 +215,31 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
     const VertexId n = graph.numVertices();
-    if (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_)
+    const bool narrowFirst = updatesFirst(spec);
+    // Update-first keeps the input itself for dW = hᵀ·G; a^k is never
+    // formed.
+    ctx.input = narrowFirst ? &in : nullptr;
+    if (!narrowFirst &&
+        (ctx.agg.rows() != n || ctx.agg.cols() != inFeatures_))
         ctx.agg.resize(n, inFeatures_);
     if (ctx.output.rows() != n || ctx.output.cols() != outFeatures_)
         ctx.output.resize(n, outFeatures_);
     ctx.hasCompressed = tech.compression && packOutput;
     CompressedMatrix *outCompressed = nullptr;
-    if (tech.compression) {
-        if (ctx.outputCompressed.rows() != n ||
-            ctx.outputCompressed.cols() != outFeatures_) {
-            ctx.outputCompressed = CompressedMatrix(n, outFeatures_);
-        }
-        if (packOutput)
-            outCompressed = &ctx.outputCompressed;
+    if (ctx.hasCompressed) {
+        ctx.outputCompressed.reshape(n, outFeatures_);
+        outCompressed = &ctx.outputCompressed;
     }
-    const FeatureRows rows = gatherRows(in, inCompressed, inBf16, tech);
-    forward(graph, spec, rows, &ctx.agg, ctx.output, outCompressed, nullptr,
-            layerSchedule(graph, rows, order, plan, tech), tech);
+    forward(graph, spec, in, inCompressed, inBf16,
+            narrowFirst ? nullptr : &ctx.agg, ctx.narrow, ctx.output,
+            outCompressed, nullptr, order, plan, tech);
 }
 
 void
 GnnLayer::backward(const CsrGraph &transposed,
-                   const AggregationSpec &transposedSpec,
-                   const LayerContext &ctx, DenseMatrix &gradOut,
-                   DenseMatrix *gradIn, std::span<const VertexId> order,
+                   const AggregationSpec &transposedSpec, LayerContext &ctx,
+                   DenseMatrix &gradOut, DenseMatrix *gradIn,
+                   std::span<const VertexId> order,
                    const PartitionPlan *transposedPlan,
                    const TechniqueConfig &tech)
 {
@@ -215,21 +251,45 @@ GnnLayer::backward(const CsrGraph &transposed,
     // clipped positions.
     if (relu_)
         reluBackward(ctx.output, gradOut);
+    columnSum(gradOut, biasGrad_, colSumScratch_);
+    const Schedule schedule =
+        layerSchedule(transposed, gradOut, order, transposedPlan, tech);
 
-    // dW = aᵀ·dz and db = colsum(dz). At bf16 both GEMM operands are
+    GRAPHITE_ASSERT((ctx.input != nullptr) == updatesFirst(transposedSpec),
+                    "context recorded for the other layer order");
+    if (ctx.input != nullptr) {
+        // Update-first: G = Aggᵀ(dz), gathering fp32 dz rows as narrow
+        // as Z's; then dW = hᵀ·G and dh_prev = G·Wᵀ. There is no fused
+        // form: dW needs all of G, and computing it before the |V| x F_in
+        // dh_prev store keeps h cache-warm for the dW GEMM.
+        GRAPHITE_ASSERT(ctx.input->rows() == gradOut.rows() &&
+                            ctx.input->cols() == inFeatures_,
+                        "update-first layer input shape mismatch");
+        DenseMatrix &g = ctx.narrow;
+        g.reshape(gradOut.rows(), outFeatures_);
+        aggregate(transposed, gradOut, g, transposedSpec, schedule,
+                  tech.agg);
+        dwPlanScratch_.pack(GemmMode::TN, g, tech.precision);
+        gemm(GemmMode::TN, *ctx.input, dwPlanScratch_, weightGrad_,
+             GemmAccumulate::Overwrite);
+        if (gradIn) {
+            gradIn->reshape(gradOut.rows(), inFeatures_);
+            gemm(GemmMode::NT, g, packedWeightsTransposed(tech.precision),
+                 *gradIn);
+        }
+        return;
+    }
+
+    // Aggregate-first: dW = aᵀ·dz. At bf16 both GEMM operands are
     // rounded at pack time; accumulation stays fp32.
     dwPlanScratch_.pack(GemmMode::TN, gradOut, tech.precision);
     gemm(GemmMode::TN, ctx.agg, dwPlanScratch_, weightGrad_,
          GemmAccumulate::Overwrite);
-    columnSum(gradOut, biasGrad_, colSumScratch_);
-
     if (!gradIn)
         return;
     // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
     gradIn->reshape(gradOut.rows(), inFeatures_);
     const GemmPlan &planNT = packedWeightsTransposed(tech.precision);
-    const Schedule schedule =
-        layerSchedule(transposed, gradOut, order, transposedPlan, tech);
     if (tech.fusion && schedule.delayedHalo == nullptr) {
         // Fused: per-block (Aggᵀ dz)·Wᵀ, dAgg never materialised (see
         // kernels/fused_layer.h on the commuted fusion direction). At

@@ -4,12 +4,20 @@
  * with forward paths for every technique combination and a full backward
  * pass for training.
  *
- * Backward math for h = ReLU(a W + b), a = Agg(h_prev):
- *   dz      = dh ⊙ ReLU'(h)
- *   dW      = aᵀ · dz          db = colsum(dz)
- *   da      = dz · Wᵀ
- *   dh_prev = Aggᵀ(da)   — aggregation along the transposed graph with
- *                          the transposed factor map.
+ * Layer order. For h = ReLU(Agg(h_prev)·W + b) with a sum (linear)
+ * aggregation, Agg(H)·W = Agg(H·W): the aggregation mixes rows and the
+ * GEMM mixes columns, so they commute. The layer gathers whichever side
+ * is narrower (updatesFirst()):
+ *   aggregate-first  a = Agg(h_prev), z = a·W             (F_in-wide gathers)
+ *   update-first     Z = h_prev·W,    z = Agg(Z)          (F_out-wide gathers)
+ * and h = ReLU(z + b) either way.
+ *
+ * Backward math, with dz = dh ⊙ ReLU'(h) and db = colsum(dz):
+ *   aggregate-first  dW = aᵀ·dz,      dh_prev = Aggᵀ(dz·Wᵀ) = (Aggᵀ dz)·Wᵀ
+ *   update-first     G  = Aggᵀ(dz),   dW = h_prevᵀ·G,   dh_prev = G·Wᵀ
+ * where Aggᵀ is aggregation along the transposed graph with the
+ * transposed factor map. Both orders gather dz (F_out wide) in the
+ * backward; update-first keeps G, which stands in for the F_in-wide a.
  */
 
 #pragma once
@@ -41,8 +49,23 @@ AggregationSpec transposeSpec(const CsrGraph &graph,
 /** Saved forward state one layer needs for its backward pass. */
 struct LayerContext
 {
-    /** Aggregation output a^k (pre-update). */
+    /**
+     * Aggregate-first: the aggregation output a^k (pre-update), the
+     * left operand of dW = aᵀ·dz. Left empty by update-first layers.
+     */
     DenseMatrix agg;
+    /**
+     * Update-first: the layer input h^{k-1} (as handed to
+     * forwardTraining; it must outlive backward()), the left operand of
+     * dW = h^{k-1}ᵀ·G. Null for aggregate-first layers.
+     */
+    const DenseMatrix *input = nullptr;
+    /**
+     * Update-first: the F_out-wide rows the layer gathers, |V| x F_out.
+     * The forward leaves Z = h^{k-1}·W here; the backward overwrites it
+     * with G = Aggᵀ(dz). Left empty by aggregate-first layers.
+     */
+    DenseMatrix narrow;
     /** Layer output h^k (post-activation). */
     DenseMatrix output;
     /** Compressed copy of output, maintained when compression is on. */
@@ -50,8 +73,8 @@ struct LayerContext
     bool hasCompressed = false;
     /**
      * Bf16 copy of output (post-dropout), maintained by GnnModel when
-     * the precision technique is on so the next layer gathers at half
-     * width.
+     * the precision technique is on and the next layer gathers it, so
+     * that layer gathers at half width.
      */
     Bf16Matrix outputBf16;
     bool hasBf16 = false;
@@ -71,6 +94,16 @@ class GnnLayer
     std::size_t inFeatures() const { return inFeatures_; }
     std::size_t outFeatures() const { return outFeatures_; }
     bool hasRelu() const { return relu_; }
+
+    /**
+     * The layer-order rule: true when this layer runs update-first,
+     * Agg(h·W), which holds exactly when @p spec's reduction is Sum
+     * (linear, so the GEMM commutes past it) and F_out pads to fewer
+     * cache-line floats than F_in (so the gathered rows shrink). A
+     * pure function of the layer's shape and spec: widening, equal
+     * padded widths and Max reductions stay aggregate-first.
+     */
+    bool updatesFirst(const AggregationSpec &spec) const;
 
     /** Glorot-uniform weight init, zero bias. */
     void initWeights(std::uint64_t seed);
@@ -110,13 +143,16 @@ class GnnLayer
     packedWeightsTransposed(Precision precision = Precision::Fp32) const;
 
     /**
-     * Inference forward: writes h^k into @p out; a^k is only
-     * materialised when fusion is off (the unfused path needs it as a
-     * GEMM input). Gathers read the packed rows @p inCompressed when
-     * compression is on and they are supplied, else the bf16 rows
-     * @p inBf16 under the Bf16 precision technique, else @p in. Non-null
-     * @p outCompressed / @p outBf16 receive packed / bf16 copies of h^k
-     * for the next layer.
+     * Inference forward: writes h^k into @p out. Aggregate-first layers
+     * gather the packed rows @p inCompressed when compression is on and
+     * they are supplied, else the bf16 rows @p inBf16 under the Bf16
+     * precision technique, else @p in; a^k is only materialised when
+     * fusion is off (the unfused path needs it as a GEMM input).
+     * Update-first layers multiply @p in by W into the caller-owned
+     * workspace @p narrow (reshaped to |V| x F_out; untouched by
+     * aggregate-first layers), gather those rows and ignore
+     * @p inCompressed / @p inBf16. Non-null @p outCompressed / @p outBf16
+     * receive packed / bf16 copies of h^k for the next layer.
      *
      * A non-null @p plan with >= 2 shards switches to shard-major
      * execution (bit-identical to flat execution); tech.delayedHalo
@@ -127,6 +163,7 @@ class GnnLayer
                           const DenseMatrix &in,
                           const CompressedMatrix *inCompressed,
                           const Bf16Matrix *inBf16, DenseMatrix &out,
+                          DenseMatrix &narrow,
                           CompressedMatrix *outCompressed,
                           Bf16Matrix *outBf16,
                           std::span<const VertexId> order,
@@ -134,14 +171,16 @@ class GnnLayer
                           const TechniqueConfig &tech) const;
 
     /**
-     * Training forward: fills @p ctx with a^k and h^k; inputs and
+     * Training forward: fills @p ctx with h^k and what the backward
+     * needs — a^k aggregate-first; the address of @p in (which must
+     * outlive backward()) and Z in ctx.narrow update-first. Inputs and
      * @p plan as in forwardInference. With compression on,
-     * ctx.outputCompressed is sized to h^k, and @p packOutput packs h^k
-     * into it in the fused sink (setting ctx.hasCompressed). GnnModel
-     * passes false where no layer reads the packed rows (the logits) or
-     * where they would be stale (inter-layer dropout follows; the model
-     * packs once after it). ctx.outputBf16 is the *model's*
-     * responsibility for the same reason.
+     * @p packOutput packs h^k into ctx.outputCompressed (sized here;
+     * sets ctx.hasCompressed). GnnModel passes false where
+     * no layer reads the packed rows (the logits, or an update-first
+     * consumer) or where they would be stale (inter-layer dropout
+     * follows; the model packs once after it). ctx.outputBf16 is the
+     * *model's* responsibility for the same reason.
      */
     void forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
                          const DenseMatrix &in,
@@ -155,15 +194,19 @@ class GnnLayer
     /**
      * Backward pass. Consumes dL/dh^k in @p gradOut (clobbered), fills
      * weight/bias gradients, and when @p gradIn is non-null computes
-     * dL/dh^{k-1} via the transposed aggregation — fused with the
-     * da = dz·Wᵀ GEMM when tech.fusion is on (fusedLayerBackward), so
-     * dAgg is only materialised on the unfused path (into a persistent
-     * per-layer scratch). The bias gradient uses the parallel
-     * deterministic columnSum. Allocation-free once scratch has grown
-     * to the steady-state shape.
+     * dL/dh^{k-1} (see the file comment for both orders).
+     * Aggregate-first layers fuse the transposed aggregation with the
+     * dz·Wᵀ GEMM when tech.fusion is on (fusedLayerBackward), so dAgg
+     * is only materialised on the unfused path (into a persistent
+     * per-layer scratch). Update-first layers aggregate G = Aggᵀ(dz)
+     * into ctx.narrow and run both GEMMs from it. The bias gradient
+     * uses the parallel deterministic columnSum.
+     * Allocation-free once scratch has grown to the steady-state shape.
      *
      * @param transposed     transposed graph.
      * @param transposedSpec factors remapped by transposeSpec().
+     * @param ctx            this layer's forwardTraining() state;
+     *                       update-first layers overwrite ctx.narrow.
      * @param order          processing order for the *transposed* graph
      *                       (GnnModel::transposedLocalityOrderFor), or
      *                       empty for identity.
@@ -171,9 +214,9 @@ class GnnLayer
      *                       shard-major execution, or null for flat.
      */
     void backward(const CsrGraph &transposed,
-                  const AggregationSpec &transposedSpec,
-                  const LayerContext &ctx, DenseMatrix &gradOut,
-                  DenseMatrix *gradIn, std::span<const VertexId> order,
+                  const AggregationSpec &transposedSpec, LayerContext &ctx,
+                  DenseMatrix &gradOut, DenseMatrix *gradIn,
+                  std::span<const VertexId> order,
                   const PartitionPlan *transposedPlan,
                   const TechniqueConfig &tech);
 
@@ -185,15 +228,22 @@ class GnnLayer
 
   private:
     /**
-     * The forward both entries share: fused unless delayed-halo
-     * aggregation is selected, else aggregate into @p agg (a temporary
-     * when null) and run one GEMM.
+     * The forward both entries share. Update-first: @p narrow = in·W,
+     * then out = act(Agg(narrow) + b). Aggregate-first: fused unless
+     * delayed-halo aggregation is selected, else aggregate into @p agg
+     * (a temporary when null) and run one GEMM.
      */
     void forward(const CsrGraph &graph, const AggregationSpec &spec,
-                 FeatureRows in, DenseMatrix *agg, DenseMatrix &out,
+                 const DenseMatrix &in, const CompressedMatrix *inCompressed,
+                 const Bf16Matrix *inBf16, DenseMatrix *agg,
+                 DenseMatrix &narrow, DenseMatrix &out,
                  CompressedMatrix *outCompressed, Bf16Matrix *outBf16,
-                 const Schedule &schedule,
+                 std::span<const VertexId> order, const PartitionPlan *plan,
                  const TechniqueConfig &tech) const;
+
+    /** Bias, ReLU and the optional packed / bf16 copies of h^k. */
+    void finishOutput(DenseMatrix &out, CompressedMatrix *outCompressed,
+                      Bf16Matrix *outBf16) const;
 
     std::size_t inFeatures_;
     std::size_t outFeatures_;
@@ -237,7 +287,10 @@ class GnnLayer
      * when the operand shape and precision are unchanged).
      */
     GemmPlan dwPlanScratch_;
-    /** dAgg workspace of the unfused backward, reused across epochs. */
+    /**
+     * dAgg workspace of the unfused aggregate-first backward, reused
+     * across epochs.
+     */
     DenseMatrix dAggScratch_;
     /** columnSum partials workspace, reused across epochs. */
     std::vector<Feature> colSumScratch_;

@@ -123,6 +123,12 @@ GnnModel::inputAsBf16(const DenseMatrix &inputFeatures)
     return inputBf16_;
 }
 
+bool
+GnnModel::gathers(std::size_t k) const
+{
+    return k < layers_.size() && !layers_[k]->updatesFirst(spec_);
+}
+
 const DenseMatrix &
 GnnModel::inference(const DenseMatrix &inputFeatures,
                     const TechniqueConfig &tech)
@@ -136,13 +142,17 @@ GnnModel::inference(const DenseMatrix &inputFeatures,
     const PartitionPlan *plan = partitionPlanFor(tech);
     const VertexId n = graph_->numVertices();
 
-    // Bf16 activations flow between layers only when compression does
-    // not already own the gather path (the two share the same slot; the
-    // packed form carries strictly more traffic savings when present).
-    const bool bf16Flow =
-        tech.precision == Precision::Bf16 && !tech.compression;
-    bool havePacked = false;
-    bool haveBf16 = false;
+    // Each activation is converted only for a consumer that gathers it
+    // (layer k + 1 aggregate-first). Hidden activations flow as bf16
+    // rows only when compression does not already own the gather path
+    // (the packed form carries strictly more traffic savings when
+    // present); the input features are never packed, so under bf16 a
+    // gathering layer 0 always reads their bf16 copy.
+    const bool bf16 = tech.precision == Precision::Bf16;
+    const bool bf16Flow = bf16 && !tech.compression;
+    const CompressedMatrix *inPacked = nullptr;
+    const Bf16Matrix *inBf16 =
+        bf16 && gathers(0) ? &inputAsBf16(inputFeatures) : nullptr;
     for (std::size_t k = 0; k < layers_.size(); ++k) {
         const GnnLayer &layer = *layers_[k];
         // Layer k reads parity k+1 (or the input features) and writes
@@ -151,32 +161,22 @@ GnnModel::inference(const DenseMatrix &inputFeatures,
                                        : inferBufs_[(k + 1) % 2];
         DenseMatrix &out = inferBufs_[k % 2];
         out.reshape(n, layer.outFeatures());
-        CompressedMatrix *packedPtr = nullptr;
-        // Hidden activations (post-ReLU) are worth compressing; the
-        // final logits layer has no consumer, so skip packing there.
-        if (tech.compression && k + 1 < layers_.size()) {
-            packedPtr = &inferPacked_[k % 2];
-            packedPtr->reshape(n, layer.outFeatures());
+        const bool nextGathers = gathers(k + 1);
+        CompressedMatrix *outPacked = nullptr;
+        if (tech.compression && nextGathers) {
+            outPacked = &inferPacked_[k % 2];
+            outPacked->reshape(n, layer.outFeatures());
         }
-        // Likewise the logits layer never needs a bf16 copy.
         Bf16Matrix *outBf16 = nullptr;
-        if (bf16Flow && k + 1 < layers_.size()) {
+        if (bf16Flow && nextGathers) {
             outBf16 = &inferBf16_[k % 2];
             outBf16->reshape(n, layer.outFeatures());
         }
-        const Bf16Matrix *inBf16 = nullptr;
-        if (bf16Flow) {
-            inBf16 = k == 0 ? &inputAsBf16(inputFeatures)
-                            : (haveBf16 ? &inferBf16_[(k + 1) % 2]
-                                        : nullptr);
-        }
-        layer.forwardInference(*graph_, spec_, in,
-                               havePacked ? &inferPacked_[(k + 1) % 2]
-                                          : nullptr,
-                               inBf16, out, packedPtr, outBf16, order,
-                               plan, tech);
-        havePacked = packedPtr != nullptr;
-        haveBf16 = outBf16 != nullptr;
+        layer.forwardInference(*graph_, spec_, in, inPacked, inBf16, out,
+                               inferNarrow_, outPacked, outBf16, order, plan,
+                               tech);
+        inPacked = outPacked;
+        inBf16 = outBf16;
     }
     return inferBufs_[(layers_.size() + 1) % 2];
 }
@@ -192,8 +192,10 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
     const PartitionPlan *plan = partitionPlanFor(tech);
     ++dropoutEpoch_;
 
-    const bool bf16Flow =
-        tech.precision == Precision::Bf16 && !tech.compression;
+    // Conversions follow inference()'s rule: only for a gathering
+    // consumer, packed rows before bf16 rows for hidden activations.
+    const bool bf16 = tech.precision == Precision::Bf16;
+    const bool bf16Flow = bf16 && !tech.compression;
     for (std::size_t k = 0; k < layers_.size(); ++k) {
         const DenseMatrix &in =
             k == 0 ? inputFeatures : contexts_[k - 1].output;
@@ -201,28 +203,29 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
             (k > 0 && contexts_[k - 1].hasCompressed)
                 ? &contexts_[k - 1].outputCompressed : nullptr;
         const Bf16Matrix *inBf16 = nullptr;
-        if (bf16Flow) {
-            inBf16 = k == 0 ? &inputAsBf16(inputFeatures)
-                            : (contexts_[k - 1].hasBf16
-                                   ? &contexts_[k - 1].outputBf16
-                                   : nullptr);
-        }
-        // Hidden activations are packed once for the next layer's
-        // gathers: in the fused sink, or — when inter-layer dropout
-        // follows — after it, so the next layer sees the post-dropout
-        // sparsity (which is exactly what makes compression pay off in
-        // training — paper Section 2.2). The logits are never packed.
-        const bool hidden = k + 1 < layers_.size();
-        const bool dropout = hidden && config_.dropoutRate > 0.0;
+        if (k == 0 && bf16 && gathers(0))
+            inBf16 = &inputAsBf16(inputFeatures);
+        else if (k > 0 && contexts_[k - 1].hasBf16)
+            inBf16 = &contexts_[k - 1].outputBf16;
+        // Hidden activations a later layer gathers are packed once: in
+        // the fused sink, or — when inter-layer dropout follows — after
+        // it, so the next layer sees the post-dropout sparsity (which is
+        // exactly what makes compression pay off in training — paper
+        // Section 2.2). The logits are never packed.
+        const bool nextGathers = gathers(k + 1);
+        const bool dropout =
+            k + 1 < layers_.size() && config_.dropoutRate > 0.0;
         layers_[k]->forwardTraining(*graph_, spec_, in, inPacked, inBf16,
                                     contexts_[k], order, plan, tech,
-                                    hidden && !dropout);
+                                    nextGathers && !dropout);
         if (dropout) {
             dropoutForward(contexts_[k].output, config_.dropoutRate,
                            config_.seed * 1315423911ull + dropoutEpoch_ +
                                k * 2654435761ull,
                            dropoutMasks_[k]);
-            if (tech.compression) {
+            if (tech.compression && nextGathers) {
+                contexts_[k].outputCompressed.reshape(
+                    contexts_[k].output.rows(), layers_[k]->outFeatures());
                 contexts_[k].outputCompressed.compressFrom(
                     contexts_[k].output);
                 contexts_[k].hasCompressed = true;
@@ -231,7 +234,7 @@ GnnModel::trainForward(const DenseMatrix &inputFeatures,
         // Bf16 copies are made *after* dropout so the next layer's
         // half-width gathers see the post-dropout activations (same
         // reasoning as the packed copy above).
-        contexts_[k].hasBf16 = bf16Flow && hidden;
+        contexts_[k].hasBf16 = bf16Flow && nextGathers;
         if (contexts_[k].hasBf16) {
             contexts_[k].outputBf16.reshape(contexts_[k].output.rows(),
                                             layers_[k]->outFeatures());
@@ -281,6 +284,7 @@ GnnModel::workspacePointers() const
     std::vector<const void *> pointers;
     for (const LayerContext &ctx : contexts_) {
         pointers.push_back(ctx.agg.data());
+        pointers.push_back(ctx.narrow.data());
         pointers.push_back(ctx.output.data());
         pointers.push_back(ctx.outputBf16.data());
     }
@@ -290,6 +294,7 @@ GnnModel::workspacePointers() const
         pointers.push_back(buf.data());
     for (const Bf16Matrix &buf : inferBf16_)
         pointers.push_back(buf.data());
+    pointers.push_back(inferNarrow_.data());
     pointers.push_back(inputBf16_.data());
     return pointers;
 }

@@ -45,12 +45,15 @@ class GnnModel
     const GnnLayer &layer(std::size_t k) const { return *layers_[k]; }
 
     const AggregationSpec &spec() const { return spec_; }
+
+    /** Layer @p k's saved training state (diagnostics and tests). */
+    const LayerContext &context(std::size_t k) const { return contexts_[k]; }
     const CsrGraph &graph() const { return *graph_; }
 
     /**
      * Full-batch inference. @p tech selects the kernel paths; with
-     * compression on, hidden activations flow between layers in packed
-     * form. Layer outputs ping-pong between two persistent buffers
+     * compression on, a hidden activation that the next layer gathers
+     * (aggregate-first) flows to it in packed form. Layer outputs ping-pong between two persistent buffers
      * sized to the widest layer, so repeated evaluate() calls stop
      * churning the allocator — which is why this is non-const.
      *
@@ -179,6 +182,8 @@ class GnnModel
     std::array<CompressedMatrix, 2> inferPacked_;
     /** Bf16 inter-layer ping-pong of the inference path. */
     std::array<Bf16Matrix, 2> inferBf16_;
+    /** Z = h·W of the update-first layers in inference. */
+    DenseMatrix inferNarrow_;
     /**
      * Layer 0's gather source under the bf16 technique: a one-time
      * rounding of the caller's input features, keyed on their data
@@ -191,6 +196,12 @@ class GnnModel
     const void *inputBf16Key_ = nullptr;
     std::size_t inputBf16Rows_ = 0;
     std::size_t inputBf16Cols_ = 0;
+
+    /**
+     * True when layer @p k exists and gathers its input rows
+     * (aggregate-first), so a packed or bf16 copy of that input pays.
+     */
+    bool gathers(std::size_t k) const;
 
     /** Round @p inputFeatures into inputBf16_ if the cache is stale. */
     const Bf16Matrix &inputAsBf16(const DenseMatrix &inputFeatures);

@@ -30,8 +30,10 @@ struct TechniqueConfig
      * bfloat16 (halving gather traffic) and runs the update GEMMs
      * through the bf16-in/fp32-accumulate micro-kernel. When
      * compression is also on, the packed (sparsity-exploiting) form
-     * wins the gather path and bf16 still applies to the GEMMs — the
-     * two techniques target different traffic.
+     * wins the gather path of hidden activations, the never-packed
+     * input features are still gathered as bf16, and bf16 still
+     * applies to the GEMMs — the two techniques target different
+     * traffic.
      */
     Precision precision = Precision::Fp32;
     /**

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "common/assert.h"
@@ -60,6 +61,35 @@ loadCsr(const std::string &path)
     in.read(reinterpret_cast<char *>(&numEdges), sizeof(numEdges));
     if (!in)
         fatal("truncated CSR header in '%s'", path.c_str());
+
+    // Check the header against the file before allocating anything:
+    // the array sizes come straight from untrusted bytes.
+    const std::uint64_t headerBytes = static_cast<std::uint64_t>(in.tellg());
+    in.seekg(0, std::ios::end);
+    const std::uint64_t fileBytes = static_cast<std::uint64_t>(in.tellg());
+    in.seekg(static_cast<std::streamoff>(headerBytes));
+    if (!in || fileBytes < headerBytes)
+        fatal("cannot size CSR file '%s'", path.c_str());
+    const std::uint64_t remaining = fileBytes - headerBytes;
+    if (numVertices == std::numeric_limits<std::uint64_t>::max())
+        fatal("CSR header in '%s': vertex count %llu overflows |V| + 1",
+              path.c_str(), static_cast<unsigned long long>(numVertices));
+    if (numVertices > std::numeric_limits<VertexId>::max())
+        fatal("CSR header in '%s': vertex count %llu exceeds the vertex id "
+              "range",
+              path.c_str(), static_cast<unsigned long long>(numVertices));
+    if (numVertices + 1 > remaining / sizeof(EdgeId))
+        fatal("CSR header in '%s': %llu row offsets exceed the %llu bytes "
+              "left in the file",
+              path.c_str(), static_cast<unsigned long long>(numVertices + 1),
+              static_cast<unsigned long long>(remaining));
+    const std::uint64_t edgeBytes =
+        remaining - (numVertices + 1) * sizeof(EdgeId);
+    if (numEdges > edgeBytes / sizeof(VertexId))
+        fatal("CSR header in '%s': %llu edges exceed the %llu bytes left "
+              "in the file",
+              path.c_str(), static_cast<unsigned long long>(numEdges),
+              static_cast<unsigned long long>(edgeBytes));
 
     std::vector<EdgeId> rowPtr(numVertices + 1);
     std::vector<VertexId> colIdx(numEdges);

@@ -9,7 +9,11 @@ namespace graphite {
 
 DeltaCsr::DeltaCsr(CsrGraph base, EdgeId maxDeltaEdges)
     : base_(std::move(base)), maxDeltaEdges_(maxDeltaEdges),
-      baseRowsSorted_(base_.rowsSorted())
+      baseRowsSorted_(base_.rowsSorted()),
+      deltaEdgeCounter_(
+          obs::MetricsRegistry::global().counter("graph.delta_edges")),
+      compactionCounter_(
+          obs::MetricsRegistry::global().counter("graph.compactions"))
 {
     GRAPHITE_ASSERT(base_.numVertices() > 0,
                     "DeltaCsr: base graph must have vertices");
@@ -84,9 +88,7 @@ DeltaCsr::addEdge(VertexId src, VertexId dst)
     // links above happen-before any reader that observes count+1.
     delta.count.store(count + 1, std::memory_order_release);
     deltaEdges_.fetch_add(1, std::memory_order_release);
-    static obs::Counter &deltaEdgeCounter =
-        obs::MetricsRegistry::global().counter("graph.delta_edges");
-    deltaEdgeCounter.add(1);
+    deltaEdgeCounter_.add(1);
     return AddEdge::Added;
 }
 
@@ -151,9 +153,7 @@ DeltaCsr::compact()
     }
     poolCursor_ = 0;
     deltaEdges_.store(0, std::memory_order_release);
-    static obs::Counter &compactionCounter =
-        obs::MetricsRegistry::global().counter("graph.compactions");
-    compactionCounter.add(1);
+    compactionCounter_.add(1);
 }
 
 const char *

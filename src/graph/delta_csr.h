@@ -46,6 +46,10 @@
 
 namespace graphite {
 
+namespace obs {
+class Counter;
+} // namespace obs
+
 /** Append-only per-vertex adjacency overlay over an immutable CSR. */
 class DeltaCsr
 {
@@ -261,6 +265,13 @@ class DeltaCsr
     std::atomic<EdgeId> deltaEdges_{0};
     /** Serializes writers (addEdge). */
     Mutex writerMutex_;
+    /**
+     * graph.delta_edges and graph.compactions, resolved here: the
+     * registry lookup allocates on first use, which must not happen
+     * inside an allocation-free insert.
+     */
+    obs::Counter &deltaEdgeCounter_;
+    obs::Counter &compactionCounter_;
 };
 
 inline VertexId

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/binary_io.h"
 #include "graph/csr_graph.h"
@@ -208,6 +211,67 @@ TEST(BinaryIo, RejectsForeignFiles)
     std::fputs("definitely not CSR", f);
     std::fclose(f);
     EXPECT_FALSE(isCsrFile(path));
+    std::remove(path.c_str());
+}
+
+/**
+ * A CSR file whose header claims @p numVertices and @p numEdges,
+ * followed by @p payloadBytes zero bytes; returns its path.
+ */
+std::string
+writeCsrHeader(const char *name, std::uint64_t numVertices,
+               std::uint64_t numEdges, std::size_t payloadBytes)
+{
+    const std::string path = testing::TempDir() + name;
+    FILE *f = std::fopen(path.c_str(), "wb");
+    const std::uint32_t version = 1;
+    std::fwrite("GCSR", 1, 4, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&numVertices, sizeof(numVertices), 1, f);
+    std::fwrite(&numEdges, sizeof(numEdges), 1, f);
+    const std::vector<char> zeros(payloadBytes, 0);
+    std::fwrite(zeros.data(), 1, zeros.size(), f);
+    std::fclose(f);
+    return path;
+}
+
+TEST(BinaryIoDeathTest, RejectsEdgeCountBeyondFileSize)
+{
+    // 61 bytes in all: a 24-byte header, then 37 bytes claiming 2^40
+    // edges — without the check this allocates 4 TiB and throws.
+    const std::string path =
+        writeCsrHeader("csr_huge_edges.gcsr", 2, std::uint64_t{1} << 40, 37);
+    EXPECT_EXIT(loadCsr(path), ::testing::ExitedWithCode(1),
+                "1099511627776 edges exceed the 13 bytes");
+    std::remove(path.c_str());
+}
+
+TEST(BinaryIoDeathTest, RejectsRowOffsetsBeyondFileSize)
+{
+    const std::string path =
+        writeCsrHeader("csr_huge_rows.gcsr", 1000, 0, 64);
+    EXPECT_EXIT(loadCsr(path), ::testing::ExitedWithCode(1),
+                "1001 row offsets exceed the 64 bytes");
+    std::remove(path.c_str());
+}
+
+TEST(BinaryIoDeathTest, RejectsVertexCountThatWraps)
+{
+    // |V| + 1 wraps to 0: without the check this loads an empty graph.
+    const std::string path = writeCsrHeader(
+        "csr_wrap.gcsr", std::numeric_limits<std::uint64_t>::max(), 0, 8);
+    EXPECT_EXIT(loadCsr(path), ::testing::ExitedWithCode(1),
+                "overflows \\|V\\| \\+ 1");
+    std::remove(path.c_str());
+}
+
+TEST(BinaryIoDeathTest, RejectsVertexCountBeyondVertexIdRange)
+{
+    const std::string path = writeCsrHeader(
+        "csr_wide_ids.gcsr",
+        std::uint64_t{std::numeric_limits<VertexId>::max()} + 1, 0, 8);
+    EXPECT_EXIT(loadCsr(path), ::testing::ExitedWithCode(1),
+                "exceeds the vertex id range");
     std::remove(path.c_str());
 }
 
