@@ -9,11 +9,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "baselines/baseline_layers.h"
 #include "compress/compressed_matrix.h"
 #include "dma/pipelined_runner.h"
+#include "common/rng.h"
 #include "gnn/gnn_layer.h"
+#include "graph/delta_csr.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "kernels/fused_layer.h"
 #include "tensor/gemm.h"
@@ -516,6 +523,107 @@ BM_LocalityOrderConstruction(benchmark::State &state)
         static_cast<std::int64_t>(graph.numEdges()));
 }
 BENCHMARK(BM_LocalityOrderConstruction);
+
+/**
+ * The products analogue's community graph (datasets.cpp) at
+ * 2^scaleLog2 vertices, as pending builder edges.
+ */
+GraphBuilder
+communityEdges(unsigned scaleLog2)
+{
+    CommunityParams params;
+    params.numVertices = VertexId{1} << scaleLog2;
+    params.communitySize = 64;
+    params.intraDegree = 21;
+    params.interDegree = 4;
+    GraphBuilder builder(params.numVertices);
+    appendCommunityEdges(builder, params);
+    return builder;
+}
+
+/**
+ * GraphBuilder::build alone (counting scatter by source, per-row sort,
+ * dedup and compaction) on the pending edges of a community graph;
+ * refilling the builder is untimed. Items are pending pairs; wall
+ * time, since the build runs on the whole pool.
+ */
+void
+BM_GraphBuild(benchmark::State &state)
+{
+    const GraphBuilder edges =
+        communityEdges(static_cast<unsigned>(state.range(0)));
+    for (auto _ : state) {
+        state.PauseTiming();
+        GraphBuilder builder = edges;
+        state.ResumeTiming();
+        CsrGraph graph = builder.build();
+        benchmark::DoNotOptimize(graph.colIdx().data());
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(edges.numPendingEdges()));
+}
+BENCHMARK(BM_GraphBuild)
+    ->Arg(17)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/** CsrGraph::transposed() on a community graph; items are edges. */
+void
+BM_Transpose(benchmark::State &state)
+{
+    const CsrGraph graph =
+        communityEdges(static_cast<unsigned>(state.range(0))).build();
+    for (auto _ : state) {
+        CsrGraph transposed = graph.transposed();
+        benchmark::DoNotOptimize(transposed.colIdx().data());
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(graph.numEdges()));
+}
+BENCHMARK(BM_Transpose)
+    ->Arg(17)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/**
+ * One DeltaCsr::addEdge per item on the ingest-churn shape: an R-MAT
+ * base (2^14 vertices, degree 16) and a 2^18-edge delta budget. Random
+ * pairs, so some are duplicates or self-loops (rejected, still timed);
+ * a fresh overlay replaces a full one untimed.
+ */
+void
+BM_DeltaCsrInsert(benchmark::State &state)
+{
+    constexpr EdgeId kBudget = EdgeId{1} << 18;
+    RmatParams params;
+    params.scale = 14;
+    params.avgDegree = 16.0;
+    const CsrGraph base = generateRmat(params);
+    Rng rng(5);
+    std::vector<std::pair<VertexId, VertexId>> pairs(kBudget);
+    for (auto &[src, dst] : pairs) {
+        src = static_cast<VertexId>(rng.uniformInt(base.numVertices()));
+        dst = static_cast<VertexId>(rng.uniformInt(base.numVertices()));
+    }
+    auto overlay = std::make_unique<DeltaCsr>(CsrGraph(base), kBudget);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        if (next == pairs.size()) {
+            state.PauseTiming();
+            overlay = std::make_unique<DeltaCsr>(CsrGraph(base), kBudget);
+            next = 0;
+            state.ResumeTiming();
+        }
+        const auto &[src, dst] = pairs[next++];
+        benchmark::DoNotOptimize(overlay->addEdge(src, dst));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeltaCsrInsert);
 
 } // namespace
 

@@ -1,9 +1,11 @@
 #include "gnn/gnn_layer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.h"
 #include "common/rng.h"
+#include "graph/counting_scatter.h"
 #include "obs/trace.h"
 #include "kernels/fused_layer.h"
 #include "parallel/thread_pool.h"
@@ -23,17 +25,21 @@ transposeSpec(const CsrGraph &graph, const AggregationSpec &spec,
     GRAPHITE_ASSERT(spec.edgeFactors.size() == graph.numEdges(),
                     "edge factor count mismatch");
     out.edgeFactors.resize(graph.numEdges());
-    // Walk original edges v->u in the same order CsrGraph::transposed()
-    // emits them, so cursor positions line up with the transposed CSR.
-    std::vector<EdgeId> cursor(transposed.rowPtr().begin(),
-                               transposed.rowPtr().end() - 1);
-    const VertexId n = graph.numVertices();
-    for (VertexId v = 0; v < n; ++v) {
-        for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-            const VertexId u = graph.colIdx()[e];
-            out.edgeFactors[cursor[u]++] = spec.edgeFactors[e];
-        }
-    }
+    // The scatter CsrGraph::transposed() runs, carrying the factor of
+    // each edge instead of its source, so positions line up with the
+    // transposed CSR.
+    const std::span<const VertexId> targets = graph.colIdx();
+    const std::vector<EdgeId> rowPtr = countingScatter(
+        targets.size(), graph.numVertices(),
+        [&](std::size_t begin, std::size_t end, const auto &sink) {
+            for (std::size_t e = begin; e < end; ++e)
+                sink(targets[e], spec.edgeFactors[e]);
+        },
+        out.edgeFactors.data());
+    GRAPHITE_ASSERT(std::equal(rowPtr.begin(), rowPtr.end(),
+                               transposed.rowPtr().begin(),
+                               transposed.rowPtr().end()),
+                    "transposeSpec: graph and transposed disagree");
     return out;
 }
 

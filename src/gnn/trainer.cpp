@@ -6,6 +6,7 @@
 #include "common/assert.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "graph/counting_scatter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/row_ops.h"
@@ -150,21 +151,27 @@ makeSyntheticTask(const CsrGraph &graph, std::size_t numClasses,
     std::vector<std::int32_t> labels(n);
     for (VertexId v = 0; v < n; ++v)
         labels[v] = static_cast<std::int32_t>(rng.uniformInt(numClasses));
+    // Each round is a pure function of the previous labels, so its
+    // vertices vote in parallel.
     std::vector<std::int32_t> next(n);
-    std::vector<std::uint32_t> votes(numClasses);
     for (int round = 0; round < 3; ++round) {
-        for (VertexId v = 0; v < n; ++v) {
-            std::fill(votes.begin(), votes.end(), 0);
-            votes[static_cast<std::size_t>(labels[v])] += 2;
-            for (VertexId u : graph.neighbors(v))
-                ++votes[static_cast<std::size_t>(labels[u])];
-            std::size_t best = 0;
-            for (std::size_t c = 1; c < numClasses; ++c) {
-                if (votes[c] > votes[best])
-                    best = c;
+        forEachRowChunk(n, graph.numEdges(),
+                        [&](std::size_t begin, std::size_t end) {
+            std::vector<std::uint32_t> votes(numClasses);
+            for (std::size_t v = begin; v < end; ++v) {
+                std::fill(votes.begin(), votes.end(), 0);
+                votes[static_cast<std::size_t>(labels[v])] += 2;
+                for (VertexId u :
+                     graph.neighbors(static_cast<VertexId>(v)))
+                    ++votes[static_cast<std::size_t>(labels[u])];
+                std::size_t best = 0;
+                for (std::size_t c = 1; c < numClasses; ++c) {
+                    if (votes[c] > votes[best])
+                        best = c;
+                }
+                next[v] = static_cast<std::int32_t>(best);
             }
-            next[v] = static_cast<std::int32_t>(best);
-        }
+        });
         labels.swap(next);
     }
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "graph/counting_scatter.h"
+#include "obs/trace.h"
+
 namespace graphite {
 
 CsrGraph::CsrGraph(std::vector<EdgeId> rowPtr, std::vector<VertexId> colIdx)
@@ -41,19 +44,23 @@ CsrGraph::validate(std::span<const EdgeId> rowPtr,
 CsrGraph
 CsrGraph::transposed() const
 {
-    const VertexId n = numVertices();
-    std::vector<EdgeId> tRowPtr(n + 1, 0);
-    // Count in-degrees.
-    for (VertexId u : colIdx_)
-        ++tRowPtr[u + 1];
-    for (VertexId v = 0; v < n; ++v)
-        tRowPtr[v + 1] += tRowPtr[v];
+    GRAPHITE_TRACE_SPAN("graph.transpose");
+    // Edge v->u becomes u->v: bucket the edges by target, carrying their
+    // source row. A block may start mid-row, so look its first row up.
     std::vector<VertexId> tColIdx(colIdx_.size());
-    std::vector<EdgeId> cursor(tRowPtr.begin(), tRowPtr.end() - 1);
-    for (VertexId v = 0; v < n; ++v) {
-        for (EdgeId e = rowPtr_[v]; e < rowPtr_[v + 1]; ++e)
-            tColIdx[cursor[colIdx_[e]]++] = v;
-    }
+    std::vector<EdgeId> tRowPtr = countingScatter(
+        colIdx_.size(), numVertices(),
+        [this](std::size_t begin, std::size_t end, const auto &sink) {
+            auto v = static_cast<VertexId>(
+                std::upper_bound(rowPtr_.begin(), rowPtr_.end(), begin) -
+                rowPtr_.begin() - 1);
+            for (std::size_t e = begin; e < end; ++e) {
+                while (rowPtr_[v + 1] <= e)
+                    ++v;
+                sink(colIdx_[e], v);
+            }
+        },
+        tColIdx.data());
     return CsrGraph(std::move(tRowPtr), std::move(tColIdx));
 }
 

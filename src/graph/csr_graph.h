@@ -92,7 +92,11 @@ class CsrGraph
     /**
      * Transposed graph (in-edges become out-edges). Needed by the
      * backward pass of GNN training, which aggregates along reversed
-     * edges.
+     * edges. Row u lists the sources of u's in-edges in ascending
+     * (source, edge) order. One counting scatter (counting_scatter.h):
+     * O(V + E), over the global pool from kGraphSerialItems edges up,
+     * so never call it on a large graph from a pool worker or a
+     * serving thread.
      */
     CsrGraph transposed() const;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "graph/counting_scatter.h"
+#include "obs/trace.h"
 
 namespace graphite {
 
@@ -29,26 +31,47 @@ GraphBuilder::addUndirectedEdge(VertexId u, VertexId v)
 CsrGraph
 GraphBuilder::build()
 {
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-    edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
-                                [](const auto &e) {
-                                    return e.first == e.second;
-                                }),
-                 edges_.end());
+    GRAPHITE_TRACE_SPAN("graph.build");
+    const std::size_t n = numVertices_;
+    const std::size_t numPairs = edges_.size();
 
-    std::vector<EdgeId> rowPtr(numVertices_ + 1, 0);
-    for (const auto &[src, dst] : edges_)
-        ++rowPtr[src + 1];
-    for (VertexId v = 0; v < numVertices_; ++v)
-        rowPtr[v + 1] += rowPtr[v];
-    std::vector<VertexId> colIdx(edges_.size());
-    std::vector<EdgeId> cursor(rowPtr.begin(), rowPtr.end() - 1);
-    for (const auto &[src, dst] : edges_)
-        colIdx[cursor[src]++] = dst;
-
+    // Bucket the pairs by source: row v holds v's destinations in
+    // insertion order.
+    std::vector<VertexId> bucketed(numPairs);
+    const std::vector<EdgeId> bucketPtr = countingScatter(
+        numPairs, n,
+        [this](std::size_t begin, std::size_t end, const auto &sink) {
+            for (std::size_t i = begin; i < end; ++i)
+                sink(edges_[i].first, edges_[i].second);
+        },
+        bucketed.data());
     edges_.clear();
     edges_.shrink_to_fit();
+
+    // Sort each row, drop its duplicates and its self-loop in place, and
+    // record the surviving degree in rowPtr[v + 1].
+    std::vector<EdgeId> rowPtr(n + 1, 0);
+    forEachRowChunk(n, numPairs, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            VertexId *first = bucketed.data() + bucketPtr[v];
+            VertexId *last = bucketed.data() + bucketPtr[v + 1];
+            std::sort(first, last);
+            last = std::unique(first, last);
+            last = std::remove(first, last, static_cast<VertexId>(v));
+            rowPtr[v + 1] = static_cast<EdgeId>(last - first);
+        }
+    });
+    for (std::size_t v = 0; v < n; ++v)
+        rowPtr[v + 1] += rowPtr[v];
+
+    std::vector<VertexId> colIdx(rowPtr[n]);
+    forEachRowChunk(n, numPairs, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            const VertexId *row = bucketed.data() + bucketPtr[v];
+            std::copy(row, row + (rowPtr[v + 1] - rowPtr[v]),
+                      colIdx.data() + rowPtr[v]);
+        }
+    });
     return CsrGraph(std::move(rowPtr), std::move(colIdx));
 }
 

@@ -18,6 +18,12 @@ namespace graphite {
  * Duplicate edges and self-loops are removed at build time (the GNN
  * formulation adds the self term explicitly via N(v) ∪ {v}, so storing
  * self-loops in the adjacency would double-count it).
+ *
+ * build() costs O(E + Σ_v d_v log d_v) for E pending pairs and
+ * pre-dedup row lengths d_v: one counting scatter buckets the pairs by
+ * source, then each row is sorted, deduplicated and compacted on its
+ * own, over the global pool from kGraphSerialItems pairs up. The result
+ * does not depend on the pool size.
  */
 class GraphBuilder
 {
@@ -35,8 +41,10 @@ class GraphBuilder
     EdgeId numPendingEdges() const { return edges_.size(); }
 
     /**
-     * Sort, dedupe, strip self-loops and produce the CSR graph. The
-     * builder is left empty afterwards.
+     * Produce the CSR graph: rows sorted ascending, duplicates and
+     * self-loops dropped. The builder is left empty afterwards. Enters
+     * the global pool for large inputs, so never call it from a pool
+     * worker or a serving thread.
      */
     CsrGraph build();
 

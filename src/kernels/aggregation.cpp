@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "graph/counting_scatter.h"
 #include "graph/delta_csr.h"
 
 #if defined(__AVX512F__)
@@ -22,19 +23,27 @@ AggregationSpec
 gcnSpec(const CsrGraph &graph)
 {
     const VertexId n = graph.numVertices();
+    const std::span<const EdgeId> rowPtr = graph.rowPtr();
+    const std::span<const VertexId> colIdx = graph.colIdx();
     AggregationSpec spec;
     spec.selfFactors.resize(n);
     spec.edgeFactors.resize(graph.numEdges());
     std::vector<Feature> invSqrt(n);
-    for (VertexId v = 0; v < n; ++v) {
-        invSqrt[v] = 1.0f / std::sqrt(static_cast<Feature>(
-            graph.degree(v) + 1));
-    }
-    for (VertexId v = 0; v < n; ++v) {
-        spec.selfFactors[v] = invSqrt[v] * invSqrt[v];
-        for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e)
-            spec.edgeFactors[e] = invSqrt[v] * invSqrt[graph.colIdx()[e]];
-    }
+    forEachRowChunk(n, colIdx.size(),
+                    [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            invSqrt[v] = 1.0f / std::sqrt(static_cast<Feature>(
+                rowPtr[v + 1] - rowPtr[v] + 1));
+        }
+    });
+    forEachRowChunk(n, colIdx.size(),
+                    [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            spec.selfFactors[v] = invSqrt[v] * invSqrt[v];
+            for (EdgeId e = rowPtr[v]; e < rowPtr[v + 1]; ++e)
+                spec.edgeFactors[e] = invSqrt[v] * invSqrt[colIdx[e]];
+        }
+    });
     return spec;
 }
 
@@ -42,16 +51,20 @@ AggregationSpec
 sageSpec(const CsrGraph &graph)
 {
     const VertexId n = graph.numVertices();
+    const std::span<const EdgeId> rowPtr = graph.rowPtr();
     AggregationSpec spec;
     spec.selfFactors.resize(n);
     spec.edgeFactors.resize(graph.numEdges());
-    for (VertexId v = 0; v < n; ++v) {
-        const Feature mean = 1.0f / static_cast<Feature>(
-            graph.degree(v) + 1);
-        spec.selfFactors[v] = mean;
-        for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e)
-            spec.edgeFactors[e] = mean;
-    }
+    forEachRowChunk(n, graph.numEdges(),
+                    [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            const Feature mean = 1.0f / static_cast<Feature>(
+                rowPtr[v + 1] - rowPtr[v] + 1);
+            spec.selfFactors[v] = mean;
+            for (EdgeId e = rowPtr[v]; e < rowPtr[v + 1]; ++e)
+                spec.edgeFactors[e] = mean;
+        }
+    });
     return spec;
 }
 

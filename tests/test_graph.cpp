@@ -275,6 +275,59 @@ TEST(BinaryIoDeathTest, RejectsVertexCountBeyondVertexIdRange)
     std::remove(path.c_str());
 }
 
+/** An edge-list file holding @p contents; returns its path. */
+std::string
+writeEdgeList(const char *name, const char *contents)
+{
+    const std::string path = testing::TempDir() + name;
+    FILE *f = std::fopen(path.c_str(), "w");
+    std::fputs(contents, f);
+    std::fclose(f);
+    return path;
+}
+
+TEST(EdgeListDeathTest, RejectsIdBeyondVertexIdRange)
+{
+    // 2^32 would truncate to vertex 0 and load as edge 0 -> 2.
+    const std::string path =
+        writeEdgeList("el_wide.el", "0 1\n4294967296 2\n");
+    EXPECT_EXIT(loadEdgeList(path), ::testing::ExitedWithCode(1),
+                "vertex id '4294967296' at .*el_wide.el:2 exceeds the "
+                "vertex id range");
+    std::remove(path.c_str());
+}
+
+TEST(EdgeListDeathTest, RejectsSignedId)
+{
+    const std::string path =
+        writeEdgeList("el_signed.el", "# comment\n-1 2\n");
+    EXPECT_EXIT(loadEdgeList(path), ::testing::ExitedWithCode(1),
+                "malformed edge at .*el_signed.el:2");
+    std::remove(path.c_str());
+}
+
+TEST(EdgeListDeathTest, RejectsIdWhoseVertexCountWraps)
+{
+    // Id 2^32 - 1 fits a VertexId, but |V| = id + 1 does not.
+    const std::string path =
+        writeEdgeList("el_wrap.el", "1 0\n2 4294967295\n");
+    EXPECT_EXIT(loadEdgeList(path), ::testing::ExitedWithCode(1),
+                "vertex id '4294967295' at .*el_wrap.el:2 exceeds the "
+                "vertex id range");
+    std::remove(path.c_str());
+}
+
+TEST(EdgeListDeathTest, RejectsIdNotBelowGivenVertexCount)
+{
+    const std::string path =
+        writeEdgeList("el_count.el", "0 1\n1 2\n3 1\n");
+    EXPECT_EXIT(loadEdgeList(path, /*numVertices=*/3),
+                ::testing::ExitedWithCode(1),
+                "vertex id 3 at .*el_count.el:3 is out of range for 3 "
+                "vertices");
+    std::remove(path.c_str());
+}
+
 TEST(Datasets, AllFourAnaloguesGenerate)
 {
     for (DatasetId id : allDatasets()) {
